@@ -19,7 +19,7 @@ bench:
 # Refresh the committed benchmark snapshot the ≤2% regression budget is
 # measured against.
 bench-snapshot:
-	$(GO) run ./cmd/benchsnap -o BENCH_PR10.json
+	$(GO) run ./cmd/benchsnap -o BENCH_PR12.json
 
 experiments:
 	$(GO) run ./cmd/experiments

@@ -24,8 +24,15 @@
 // and the parallel speedup is printed as a non-gated diagnostic line
 // (auto vs off on the 256-block trace, with the speculation hit rate).
 //
-//	go run ./cmd/benchsnap -o BENCH_PR10.json
-//	go run ./cmd/benchsnap -compare BENCH_PR10.json
+//	go run ./cmd/benchsnap -o BENCH_PR12.json
+//	go run ./cmd/benchsnap -compare BENCH_PR12.json
+//
+// A snapshot also records the host it was taken on: NumCPU, GOMAXPROCS and
+// the noise floor (the widest ns/op spread across one benchmark's runs).
+// allocs/op depend on GOMAXPROCS (the loop candidate search, for one, fans
+// out over GOMAXPROCS workers), so -compare measures at the snapshot's
+// GOMAXPROCS, prints both hosts, and refuses a snapshot that did not record
+// one.
 //
 // -cpuprofile and -memprofile write pprof profiles covering the benchmark
 // measurements, for digging into a regression the gate reports:
@@ -77,11 +84,29 @@ type snapshot struct {
 	Go         string           `json:"go"`
 	GOOS       string           `json:"goos"`
 	GOARCH     string           `json:"goarch"`
+	Host       host             `json:"host"`
 	Benchmarks map[string]entry `json:"benchmarks"`
 }
 
+// host describes the machine a snapshot was taken on. Snapshots older than
+// the field decode it as zeros.
+type host struct {
+	NumCPU     int `json:"num_cpu"`
+	GOMAXPROCS int `json:"gomaxprocs"`
+	// NoiseFloorPct is the widest ns/op spread, in percent of the fastest
+	// run, that any one benchmark showed across this invocation's runs.
+	NoiseFloorPct float64 `json:"noise_floor_pct"`
+}
+
+func (h host) String() string {
+	if h.GOMAXPROCS == 0 {
+		return "unrecorded"
+	}
+	return fmt.Sprintf("NumCPU=%d GOMAXPROCS=%d noise floor %.1f%%", h.NumCPU, h.GOMAXPROCS, h.NoiseFloorPct)
+}
+
 func main() {
-	out := flag.String("o", "BENCH_PR10.json", "output file (ignored with -compare)")
+	out := flag.String("o", "BENCH_PR12.json", "output file (ignored with -compare)")
 	compare := flag.String("compare", "", "compare against this snapshot instead of writing one")
 	tol := flag.Float64("tol", 2.0, "regression budget in percent for -compare")
 	noisefloor := flag.Float64("noisefloor", 25.0, "minimum ns/op tolerance in percent (wall-clock noise on shared hardware)")
@@ -125,6 +150,17 @@ func main() {
 		}
 	}
 	defer flushProfiles()
+
+	// A comparison measures at the GOMAXPROCS its snapshot was taken at, so
+	// the allocs/op it gates on count the same worker fan-out.
+	var old snapshot
+	if *compare != "" {
+		old = loadSnapshot(*compare)
+		if old.Host.GOMAXPROCS < 1 {
+			fatal(fmt.Errorf("%s records no GOMAXPROCS, and allocs/op depend on it; record a new snapshot with -o", *compare))
+		}
+		runtime.GOMAXPROCS(old.Host.GOMAXPROCS)
+	}
 
 	// The same workloads as BenchmarkScheduleTrace / BenchmarkSimulateTrace /
 	// BenchmarkScheduleLoop in bench_test.go: a seed-11 random trace and the
@@ -350,18 +386,20 @@ func main() {
 		Go:         runtime.Version(),
 		GOOS:       runtime.GOOS,
 		GOARCH:     runtime.GOARCH,
+		Host:       host{NumCPU: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0)},
 		Benchmarks: map[string]entry{},
 	}
 	if *runs < 1 {
 		*runs = 1
 	}
-	// noise[name] = spread of this invocation's ns/op measurements in
-	// percent of the fastest run: the measurable noise floor of this machine
-	// right now.
-	noise := map[string]float64{}
-	for _, bench := range benches {
-		best, worst := entry{}, int64(0)
-		for i := 0; i < *runs; i++ {
+	// The runs go round-robin over the benchmarks, so one benchmark's runs
+	// are spread across the whole invocation instead of landing together in
+	// one slow stretch of a shared host. noise[name] = spread of this
+	// invocation's ns/op measurements in percent of the fastest run: the
+	// measurable noise floor of this machine right now.
+	worst, noise := map[string]int64{}, map[string]float64{}
+	for i := 0; i < *runs; i++ {
+		for _, bench := range benches {
 			r, ok := benchmarkWithDeadline(bench.name, bench.fn, *timeout)
 			if !ok {
 				// A deadlocked benchmark (e.g. a scheduling hang) must fail
@@ -374,15 +412,16 @@ func main() {
 				AllocsPerOp: r.AllocsPerOp(),
 				BytesPerOp:  r.AllocedBytesPerOp(),
 			}
-			if i == 0 || e.NsPerOp < best.NsPerOp {
-				best = e
+			if best, ok := snap.Benchmarks[bench.name]; !ok || e.NsPerOp < best.NsPerOp {
+				snap.Benchmarks[bench.name] = e
 			}
-			if e.NsPerOp > worst {
-				worst = e.NsPerOp
-			}
+			worst[bench.name] = max(worst[bench.name], e.NsPerOp)
 		}
-		snap.Benchmarks[bench.name] = best
-		noise[bench.name] = 100 * float64(worst-best.NsPerOp) / float64(best.NsPerOp)
+	}
+	for _, bench := range benches {
+		best := snap.Benchmarks[bench.name]
+		noise[bench.name] = 100 * float64(worst[bench.name]-best.NsPerOp) / float64(best.NsPerOp)
+		snap.Host.NoiseFloorPct = max(snap.Host.NoiseFloorPct, noise[bench.name])
 		fmt.Printf("%-14s %10d ns/op %8d B/op %6d allocs/op\n",
 			bench.name, best.NsPerOp, best.BytesPerOp, best.AllocsPerOp)
 	}
@@ -436,11 +475,9 @@ func main() {
 
 	if *compare != "" {
 		for name := range noise {
-			if noise[name] < *noisefloor {
-				noise[name] = *noisefloor
-			}
+			noise[name] = max(noise[name], *noisefloor)
 		}
-		code := compareSnapshots(*compare, snap, noise, *tol)
+		code := compareSnapshots(*compare, old, snap, noise, *tol)
 		flushProfiles()
 		os.Exit(code)
 	}
@@ -479,21 +516,26 @@ func benchmarkWithDeadline(name string, fn func(b *testing.B), d time.Duration) 
 	}
 }
 
-// compareSnapshots prints the per-benchmark deltas of cur against the
-// snapshot stored at path and returns the process exit code: 0 when every
-// allocs/op delta is within ±tol percent and every ns/op delta is within
-// ±max(tol, observed noise) percent, 1 otherwise (including benchmarks
-// missing on either side).
-func compareSnapshots(path string, cur snapshot, noise map[string]float64, tol float64) int {
+// loadSnapshot reads a snapshot written by -o.
+func loadSnapshot(path string) snapshot {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		fatal(err)
 	}
-	var old snapshot
-	if err := json.Unmarshal(data, &old); err != nil {
+	var s snapshot
+	if err := json.Unmarshal(data, &s); err != nil {
 		fatal(fmt.Errorf("%s: %w", path, err))
 	}
+	return s
+}
+
+// compareSnapshots prints the per-benchmark deltas of cur against old (read
+// from path) and returns the process exit code: 0 when every allocs/op delta
+// is within ±tol percent and every ns/op delta is within ±max(tol, observed
+// noise) percent, 1 otherwise (including benchmarks missing on either side).
+func compareSnapshots(path string, old, cur snapshot, noise map[string]float64, tol float64) int {
 	fmt.Printf("\ncomparing against %s (budget ±%.1f%%; ns/op tolerance widens to this run's noise floor)\n", path, tol)
+	fmt.Printf("snapshot host: %s\ncurrent host:  %s\n", old.Host, cur.Host)
 	// Walk the sorted union of both snapshots' benchmark names so every
 	// out-of-tolerance (or missing) benchmark is reported before the nonzero
 	// exit, not just the first.
@@ -520,10 +562,7 @@ func compareSnapshots(path string, cur snapshot, noise map[string]float64, tol f
 		}
 		nsDelta := 100 * (float64(ce.NsPerOp) - float64(oe.NsPerOp)) / float64(oe.NsPerOp)
 		allocDelta := 100 * (float64(ce.AllocsPerOp) - float64(oe.AllocsPerOp)) / float64(oe.AllocsPerOp)
-		nsTol := tol
-		if n := noise[bench]; n > nsTol {
-			nsTol = n
-		}
+		nsTol := max(tol, noise[bench])
 		verdict := "ok"
 		if nsDelta > nsTol || nsDelta < -nsTol {
 			verdict = "FAIL(ns)"

@@ -172,21 +172,36 @@ type blockGroups struct {
 
 func (gr *blockGroups) ngroups() int { return len(gr.blk) }
 
-// buildGroups scans the CSR's block assignment and returns the contiguous
-// group table, or nil when node IDs are not grouped by block in ascending
-// order (the parallel path's canonical-layout requirement).
-func buildGroups(csr *graph.CSR) *blockGroups {
+// buildGroups scans the non-empty CSR's block assignment and returns the
+// contiguous group table, or nil when node IDs are not grouped by block in
+// ascending order (the parallel path's canonical-layout requirement) or
+// there are fewer than minGroups groups. The groups are counted first
+// without allocating, so a rejected trace costs one scan and nothing else.
+func buildGroups(csr *graph.CSR, minGroups int) *blockGroups {
 	n := csr.Len()
-	gr := &blockGroups{nodeGroup: make([]int32, n)}
-	prev := csr.Block(0)
-	gr.off = append(gr.off, 0)
-	gr.blk = append(gr.blk, prev)
+	ng, prev := 1, csr.Block(0)
 	for v := 1; v < n; v++ {
 		b := csr.Block(graph.NodeID(v))
 		if b < prev {
 			return nil
 		}
 		if b > prev {
+			ng++
+			prev = b
+		}
+	}
+	if ng < minGroups {
+		return nil
+	}
+	gr := &blockGroups{
+		off:       make([]int, 1, ng+1),
+		blk:       make([]int, 1, ng),
+		nodeGroup: make([]int32, n),
+	}
+	prev = csr.Block(0)
+	gr.blk[0] = prev
+	for v := 1; v < n; v++ {
+		if b := csr.Block(graph.NodeID(v)); b > prev {
 			gr.off = append(gr.off, v)
 			gr.blk = append(gr.blk, b)
 			prev = b
@@ -322,8 +337,8 @@ func parallelPlan(csr *graph.CSR, opt *Options) *parPlan {
 	if opt.Parallel == 0 && procs < 2 {
 		return nil
 	}
-	gr := buildGroups(csr)
-	if gr == nil || gr.ngroups() < minGroups {
+	gr := buildGroups(csr, minGroups)
+	if gr == nil {
 		return nil
 	}
 	ng := gr.ngroups()

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 
@@ -12,6 +13,7 @@ import (
 	"aisched/internal/machine"
 	"aisched/internal/obs"
 	"aisched/internal/sbudget"
+	"aisched/internal/testutil"
 	"aisched/internal/workload"
 )
 
@@ -311,6 +313,38 @@ func TestSpeculativeTraceDeterminism(t *testing.T) {
 			t.Fatal(err)
 		}
 		requireSameResult(t, "determinism", seq, par)
+	}
+}
+
+// TestParallelPlanAutoGateAllocFree pins the auto gate's cost on a trace with
+// enough nodes but too few blocks: rejecting it must not build the group
+// table, so parallelPlan allocates nothing even with GOMAXPROCS ≥ 2.
+func TestParallelPlanAutoGateAllocFree(t *testing.T) {
+	testutil.SkipIfAllocSensitive(t)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	g, err := workload.LongTrace(rand.New(rand.NewSource(7)), workload.DefaultLongTrace(64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	csr := graph.NewCSR(g)
+	if ng := buildGroups(csr, 1).ngroups(); csr.Len() < parAutoMinGroups || ng != 64 {
+		t.Fatalf("want a 64-block trace of ≥%d nodes, got %d blocks over %d nodes",
+			parAutoMinGroups, ng, csr.Len())
+	}
+	// testing.AllocsPerRun pins GOMAXPROCS to 1, which the gate rejects
+	// first, so count mallocs around the calls directly.
+	opt := Options{}
+	const runs = 100
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if parallelPlan(csr, &opt) != nil {
+			t.Fatal("auto gate planned a 64-block trace")
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if allocs := float64(after.Mallocs-before.Mallocs) / runs; allocs >= 1 {
+		t.Fatalf("parallelPlan rejected a 64-block trace with %.1f allocs per call, want 0", allocs)
 	}
 }
 

@@ -252,3 +252,37 @@ func TestCacheRaceHammer(t *testing.T) {
 		t.Fatalf("obs stats diverge from counters: %+v vs %+v", s, got)
 	}
 }
+
+// TestGetPutSameKeyRace refreshes one key with Put while other goroutines
+// read it through Get and Do: a hit must read the entry's value under the
+// shard lock, because a Put of a resident key overwrites it in place. Run
+// under -race (make check does) to pin that.
+func TestGetPutSameKeyRace(t *testing.T) {
+	c := New(Config{})
+	k := key(3, 1)
+	c.Put(k, 0)
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 300; i++ {
+				switch w % 3 {
+				case 0:
+					c.Put(k, i)
+				case 1:
+					if _, ok := c.Get(k); !ok {
+						t.Error("resident key missed")
+						return
+					}
+				default:
+					if _, hit, err := c.Do(k, func() (any, error) { return -1, nil }); err != nil || !hit {
+						t.Errorf("Do on a resident key: hit %v, err %v", hit, err)
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+}

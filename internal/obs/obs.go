@@ -6,7 +6,7 @@
 //
 // The design goal is zero overhead when disabled: every producer takes an
 // optional Tracer and guards each emission with a nil check, so the hot
-// paths (the simulator inner loop, the rank binary search) pay nothing when
+// paths (the simulator inner loop, the rank packing pass) pay nothing when
 // no tracer is installed. When a tracer is installed, the simulator switches
 // to per-cycle fidelity: every stall cycle is attributed to exactly one
 // StallReason, so the stall breakdown always sums to the total stall cycles.

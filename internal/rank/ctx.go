@@ -51,7 +51,7 @@ type Ctx struct {
 	// Scratch, reused across calls.
 	delta  []int          // longest path finish(v)⇝start(u) per descendant
 	ds     []descendant   // packing entries for the node being ranked
-	occ    [][]int        // per-class occupancy window for packFeasible
+	occ    [][]int        // per-class occupancy window for rankOf
 	pos    []int          // tie-position scratch for list building
 	list   []graph.NodeID // priority-list scratch
 	oneBit graph.Bitset   // single-node changed set for UpdateOne
@@ -221,7 +221,7 @@ func (c *Ctx) Reset(view graph.AdjView, m *machine.Machine, g *graph.Graph) erro
 		}
 		c.unitsFor[cls] = u
 	}
-	// occ rows persist across Resets (packFeasible sizes them lazily); only
+	// occ rows persist across Resets (rankOf sizes them lazily); only
 	// the header grows, and it never shrinks so grown rows stay reusable.
 	for len(c.occ) <= maxClass {
 		c.occ = append(c.occ, nil)
@@ -367,41 +367,7 @@ func (c *Ctx) rankNode(v graph.NodeID, d, ranks []int) {
 	// (latency) then topological position so the order is a deterministic
 	// total order shared with the reference implementation.
 	slices.SortFunc(ds, compareDescendants)
-	// Necessary upper bounds narrow the search range.
-	hi := d[v]
-	total, maxLat, maxExec := 0, 0, 0
-	for _, u := range ds {
-		if b := u.rank - u.exec - u.lat; b < hi {
-			hi = b
-		}
-		total += u.exec
-		if u.lat > maxLat {
-			maxLat = u.lat
-		}
-		if u.exec > maxExec {
-			maxExec = u.exec
-		}
-	}
-	// Earliest-fit never places past lat + sum(exec), so this window bounds
-	// every occupancy index the packing can touch.
-	window := total + maxLat + maxExec + 4
-	// At lo the releases leave ample slack below every deadline, so
-	// infeasibility at lo means the descendants' ranks conflict on their own
-	// (no completion time of v can help).
-	lo := hi - 2*(total+maxLat+2)
-	if !c.packFeasible(ds, lo, window) {
-		ranks[v] = lo // hopelessly infeasible; surfaces as rank < exec
-		return
-	}
-	for lo < hi {
-		mid := lo + (hi-lo+1)/2
-		if c.packFeasible(ds, mid, window) {
-			lo = mid
-		} else {
-			hi = mid - 1
-		}
-	}
-	ranks[v] = lo
+	ranks[v] = c.rankOf(ds, d[v])
 }
 
 // compareDescendants orders packing entries by nondecreasing rank, ties by
@@ -418,15 +384,34 @@ func compareDescendants(a, b descendant) int {
 	return a.pos - b.pos
 }
 
-// packFeasible reports whether all descendants (sorted by nondecreasing
-// rank) can be placed when their ancestor completes at time at: each is
-// placed at the earliest free position ≥ at + lat on its class pool and must
-// finish by its rank. Occupancy is tracked in per-class slice windows
-// indexed by t − at + 1 (the +1 absorbs a defensive −1 release), reused and
-// cleared across calls — the one-shot implementation allocated two maps per
-// feasibility probe. Exact for unit execution times (EDF exchange argument);
-// earliest-fit heuristic for longer instructions.
-func (c *Ctx) packFeasible(ds []descendant, at, window int) bool {
+// rankOf returns the rank of a node with deadline dv whose descendants,
+// sorted by compareDescendants, are ds. It places every descendant relative
+// to the node's completion time at — each at the earliest free position
+// ≥ at + lat on its class pool — and takes the latest at for which each one
+// still finishes by its rank: B = min over u of rank(u) − (start(u) − at) −
+// exec(u). Occupancy is tracked in per-class slice windows indexed by
+// t − at + 1 (the +1 absorbs a defensive −1 release), reused and cleared
+// across calls. Because the indexing is relative to at, the placement does
+// not depend on at; at enters only the per-descendant deadline test. So the
+// packing is feasible for exactly the completion times at ≤ B, and one pass
+// yields min(dv, B), which is what the reference binary search over at finds
+// with a packing per probe (referencePackFeasible). That search is confined
+// to [lo, hi], hi = min(dv, min over u of rank(u) − exec(u) − lat(u)),
+// lo = hi − 2(total + maxLat + 2), and neither end binds: B stays below the
+// per-descendant part of hi because start(u) − at ≥ lat(u), and above lo
+// because earliest-fit never ends a placement past at + maxLat + total.
+// Exact for unit execution times (EDF exchange argument); earliest-fit
+// heuristic for longer instructions.
+func (c *Ctx) rankOf(ds []descendant, dv int) int {
+	total, maxLat, maxExec := 0, 0, 0
+	for _, u := range ds {
+		total += u.exec
+		maxLat = max(maxLat, u.lat)
+		maxExec = max(maxExec, u.exec)
+	}
+	// Earliest-fit never places past lat + sum(exec), so this window bounds
+	// every occupancy index the packing can touch.
+	window := total + maxLat + maxExec + 4
 	for cls := range c.occ {
 		clear(c.occ[cls])
 	}
@@ -435,6 +420,7 @@ func (c *Ctx) packFeasible(ds []descendant, at, window int) bool {
 			c.occ[u.class] = make([]int, window)
 		}
 	}
+	rank := dv
 	for _, u := range ds {
 		units := c.unitsFor[u.class]
 		occ := c.occ[u.class]
@@ -453,15 +439,13 @@ func (c *Ctx) packFeasible(ds []descendant, at, window int) bool {
 			}
 			break
 		}
-		if at+(start-1)+u.exec > u.rank {
-			return false
-		}
+		rank = min(rank, u.rank-(start-1)-u.exec)
 		for t := start; t < start+u.exec; t++ {
 			occ[t]++
 		}
 		c.occ[u.class] = occ
 	}
-	return true
+	return rank
 }
 
 // RunRanks greedily schedules in nondecreasing rank order (the second half

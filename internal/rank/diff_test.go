@@ -3,6 +3,7 @@ package rank
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"aisched/internal/graph"
@@ -194,5 +195,98 @@ func TestDifferentialIncrementalUpdateMatchesFullCompute(t *testing.T) {
 					seed, round, m.Name, ranks, want)
 			}
 		}
+	}
+}
+
+// searchRank is the reference rank step: ReferenceCompute's binary search
+// over the completion time with one referencePackFeasible probe per
+// candidate, for a node with deadline dv and sorted descendants ds.
+func searchRank(ds []descendant, m *machine.Machine, dv int) int {
+	hi, total, maxLat := dv, 0, 0
+	for _, u := range ds {
+		hi = min(hi, u.rank-u.exec-u.lat)
+		total += u.exec
+		maxLat = max(maxLat, u.lat)
+	}
+	lo := hi - 2*(total+maxLat+2)
+	if !referencePackFeasible(ds, m, lo) {
+		return lo
+	}
+	for lo < hi {
+		mid := lo + (hi-lo+1)/2
+		if referencePackFeasible(ds, m, mid) {
+			lo = mid
+		} else {
+			hi = mid - 1
+		}
+	}
+	return lo
+}
+
+// TestRankOfMatchesBinarySearch is the exactness property of the one-pass
+// rank: on random descendant sets — exec 1–3, release latency 0–4, up to
+// three unit classes, ranks drawn low enough that many sets are infeasible
+// and the rank falls below exec — rankOf equals the reference binary search
+// over referencePackFeasible. It also pins why the reference's floor clamp
+// is not needed: the packing is always feasible at the bottom of the search
+// range.
+func TestRankOfMatchesBinarySearch(t *testing.T) {
+	machines := diffMachines()
+	belowExec := 0
+	for seed := int64(0); seed < 3000; seed++ {
+		dm := machines[seed%int64(len(machines))]
+		r := rand.New(rand.NewSource(seed))
+		classes := 1 + r.Intn(dm.classes)
+		// A context bound to one node per class sizes unitsFor and occ.
+		g := graph.New(classes)
+		for cls := 0; cls < classes; cls++ {
+			g.AddNode("c", 1, cls, 0)
+		}
+		c, err := NewCtx(g, dm.m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		k := 1 + r.Intn(12)
+		ds := make([]descendant, k)
+		minExec := 3
+		for i := range ds {
+			cls := r.Intn(classes)
+			if dm.m.SingleUnitOnly() {
+				cls = 0
+			}
+			ds[i] = descendant{
+				rank:  r.Intn(3*k+6) - 2,
+				exec:  1 + r.Intn(3),
+				class: cls,
+				lat:   r.Intn(5),
+				pos:   i,
+			}
+			minExec = min(minExec, ds[i].exec)
+		}
+		slices.SortFunc(ds, compareDescendants)
+		dv := Big
+		if r.Intn(2) == 0 {
+			dv = r.Intn(3*k + 6)
+		}
+		want := searchRank(ds, dm.m, dv)
+		if got := c.rankOf(ds, dv); got != want {
+			t.Fatalf("seed %d on %s: rankOf = %d, binary search = %d\n ds %+v dv %d",
+				seed, dm.m.Name, got, want, ds, dv)
+		}
+		if want < minExec {
+			belowExec++
+		}
+		hi, total, maxLat := dv, 0, 0
+		for _, u := range ds {
+			hi = min(hi, u.rank-u.exec-u.lat)
+			total += u.exec
+			maxLat = max(maxLat, u.lat)
+		}
+		if lo := hi - 2*(total+maxLat+2); !referencePackFeasible(ds, dm.m, lo) {
+			t.Fatalf("seed %d on %s: packing infeasible at the search floor %d", seed, dm.m.Name, lo)
+		}
+	}
+	if belowExec < 300 {
+		t.Fatalf("only %d of 3000 sets ranked below exec; the infeasible regime is under-sampled", belowExec)
 	}
 }

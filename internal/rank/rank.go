@@ -8,7 +8,8 @@
 // resulting schedule is optimal (minimum makespan, and minimum tardiness
 // under deadlines). For general machines (§4.2) the same computation is a
 // heuristic: ranks are derived by inserting each descendant whole into a
-// per-class backward schedule at the latest time no later than its rank.
+// per-class schedule at its earliest fit after v completes and taking the
+// latest completion time of v that lets every descendant meet its rank.
 //
 // The engine is built around Ctx, a reusable per-graph context that caches
 // the topological order, descendant closure and packing scratch, and that
@@ -51,10 +52,16 @@ func UniformDeadlines(n, d int) []int {
 // start no earlier than c + delta(v,u), where delta is the longest
 // dependence path from v's completion to u's start (sum of intermediate
 // execution times and latencies), and the descendants must fit one per
-// functional unit of their class at any time. Feasibility of a candidate c
-// is tested with an EDF-style earliest-fit placement (exact for unit
-// execution times; a faithful heuristic for the general machines of §4.2),
-// and c is found by binary search — feasibility is monotone in c. This
+// functional unit of their class at any time. The descendants are placed by
+// an EDF-style earliest-fit packing in nondecreasing rank order (exact for
+// unit execution times; a faithful heuristic for the general machines of
+// §4.2). The packing is laid out relative to c — descendant u goes at the
+// earliest free slot at or after c + delta(v,u) — so where each descendant
+// lands, measured from c, does not depend on c at all; c enters only the
+// test that u, starting s(u) cycles after c, finishes by rank(u). One pass
+// therefore gives every feasible c at once: rank(v) = min(d(v), min over u
+// of rank(u) − s(u) − exec(u)). This equals the binary search over c that
+// ReferenceCompute keeps as the oracle, with a packing per probe, and
 // reproduces every rank value printed in the paper's §2 examples.
 //
 // Compute builds a throwaway Ctx; callers ranking the same graph repeatedly

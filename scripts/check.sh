@@ -73,6 +73,6 @@ echo "== speculative results must be deterministic across runs and -cpu"
 # The same invariant CI's parallel-determinism job enforces: speculation is
 # bit-identical to the sequential walk regardless of GOMAXPROCS or repetition.
 go test -run 'Speculative|ParallelTrace' -count=2 -cpu=1,4 ./...
-echo "== benchsnap -compare BENCH_PR10.json"
-go run ./cmd/benchsnap -compare BENCH_PR10.json
+echo "== benchsnap -compare BENCH_PR12.json"
+go run ./cmd/benchsnap -compare BENCH_PR12.json
 echo "check: OK"
