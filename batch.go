@@ -141,8 +141,7 @@ func (sc *Scheduler) StepCacheCounters() CacheCounters {
 
 // SpecCounters is a snapshot of the speculative parallel trace scheduler's
 // counters: runs that took the parallel path, segments speculated, join
-// verification hits/misses, blocks recomputed after a miss, and hint-seeded
-// (lane B) segments.
+// verification hits/misses, and blocks recomputed after a miss.
 type SpecCounters = core.SpecStats
 
 // SpecTraceCounters snapshots the speculation counters. They are

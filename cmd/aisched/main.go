@@ -379,8 +379,8 @@ func runTrace(blocks []isa.Block, m *machine.Machine, rec *aisched.TraceRecorder
 func printSpec(before aisched.SpecCounters) {
 	d := aisched.SpecTraceCounters()
 	if segs := d.Segments - before.Segments; segs > 0 {
-		fmt.Printf("speculation: %d/%d segments verified, %d hint-seeded, %d blocks recomputed\n",
-			d.Hits-before.Hits, segs, d.LaneB-before.LaneB, d.FallbackBlocks-before.FallbackBlocks)
+		fmt.Printf("speculation: %d/%d segments verified, %d blocks recomputed\n",
+			d.Hits-before.Hits, segs, d.FallbackBlocks-before.FallbackBlocks)
 	}
 }
 

@@ -462,10 +462,10 @@ func main() {
 		off := snap.Benchmarks["ScheduleTraceLong256"]
 		if ok && off.NsPerOp > 0 {
 			if segs := d.Segments - before.Segments; segs > 0 {
-				fmt.Printf("parallel trace (256 blocks, GOMAXPROCS=%d): %d -> %d ns/op (%.1fx), %d/%d segments verified, %d hint-seeded\n",
+				fmt.Printf("parallel trace (256 blocks, GOMAXPROCS=%d): %d -> %d ns/op (%.1fx), %d/%d segments verified\n",
 					runtime.GOMAXPROCS(0), off.NsPerOp, parOn.NsPerOp(),
 					float64(off.NsPerOp)/float64(parOn.NsPerOp()),
-					d.Hits-before.Hits, segs, d.LaneB-before.LaneB)
+					d.Hits-before.Hits, segs)
 			} else {
 				fmt.Printf("parallel trace (256 blocks): auto gate kept speculation off (GOMAXPROCS=%d)\n",
 					runtime.GOMAXPROCS(0))

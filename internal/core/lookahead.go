@@ -263,160 +263,28 @@ func LookaheadOpts(g *graph.Graph, m *machine.Machine, opt Options) (*Result, er
 
 	scratch := laPool.Get().(*laScratch)
 	defer laPool.Put(scratch)
-	scratch.grow(n)
-	tiePos := scratch.tiePos[:n]
-	if opt.Tie != nil {
-		for i, id := range opt.Tie {
-			tiePos[id] = i
-		}
-	} else {
-		for i := range tiePos {
-			tiePos[i] = i
-		}
-	}
+	var w traceWalk
+	w.init(csr, m, &opt, nil, scratch)
 
 	// Group nodes by block with a stable sort of the identity permutation:
 	// within each block IDs stay ascending, and blocks are visited in
-	// ascending order — the same traversal the blocks/byBlock maps produced,
-	// without the maps, and robust to sparse block numbering.
+	// ascending order, robust to sparse or interleaved block numbering.
 	byBlock := scratch.byBlock[:n]
-	for i := range byBlock {
-		byBlock[i] = graph.NodeID(i)
-	}
 	slices.SortStableFunc(byBlock, func(a, b graph.NodeID) int {
 		return csr.Block(a) - csr.Block(b)
 	})
-
-	emitted := scratch.emitted[:0]
-	oldIDs := scratch.oldIDs[:0] // original IDs carried forward
-	dOld := scratch.dOld[:n]     // deadlines of carried nodes, dense by original ID
-	fOld := scratch.fOld[:n]     // finish times of carried nodes, dense by original ID
-	// relAbs[v] is the absolute earliest start owed to v by latencies of
-	// already-committed predecessors. Chop commits a prefix and drops its
-	// nodes — and their out-edges — from every later view, so each committed
-	// node's latencies are recorded here and handed to the later merges as
-	// frame-relative release times. In the restricted model (0/1 latencies)
-	// the chop's idle slot provides exactly the needed slack and every
-	// release is stale by construction; longer latencies (§4.2 machines)
-	// genuinely need the floor or a later merge may hoist a dependent above
-	// it and predict an illegal start.
-	relAbs := scratch.relAbs[:n]
-	clear(relAbs)
-	gview := csr.View()
-	oldMakespan := 0
-	plusOrder := scratch.plusOrder[:0] // S+ of the most recent iteration, original IDs
-	// Step-cache canonical-layout gate: caching requires the carried suffix
-	// to occupy the view's ID prefix, i.e. every carried original ID below
-	// every new one, and the identity tie-break. maxOld tracks the largest
-	// carried ID so the check is O(1) per block.
-	canonTie := opt.Tie == nil
-	maxOld := graph.NodeID(-1)
-	// Stitched absolute schedule: frames advance by each chop's base.
-	timeBase := 0
-	absStart := scratch.absStart[:n]
-	absUnit := scratch.absUnit[:n]
-	for i := range absStart {
-		absStart[i] = sched.Unassigned
-		absUnit[i] = sched.Unassigned
-	}
-
 	for lo := 0; lo < n; {
 		hi := lo
 		b := csr.Block(byBlock[lo])
 		for hi < n && csr.Block(byBlock[hi]) == b {
 			hi++
 		}
-		newIDs := byBlock[lo:hi]
+		if err := w.block(byBlock[lo:hi], b); err != nil {
+			return nil, err
+		}
 		lo = hi
-
-		if err := opt.Budget.Check(); err != nil {
-			return nil, err
-		}
-		// cur = old ∪ new, as an induced view of the trace CSR (ascending
-		// IDs; old and new are disjoint).
-		ids := append(scratch.ids[:0], oldIDs...)
-		ids = append(ids, newIDs...)
-		scratch.ids = ids
-		slices.Sort(ids)
-		scratch.sub.Init(csr, ids)
-		sn := scratch.sub.Len()
-		view := scratch.sub.View()
-
-		scratch.isOld = growSlice(scratch.isOld, sn)
-		isOld := scratch.isOld
-		clear(isOld)
-		for _, id := range oldIDs {
-			isOld[scratch.sub.ToSub(id)] = true
-		}
-		scratch.tie = subTieInto(scratch.tie, ids, tiePos)
-		tie := scratch.tie
-		scratch.dv = growSlice(scratch.dv, sn)
-		scratch.fv = growSlice(scratch.fv, sn)
-		scratch.rv = growSlice(scratch.rv, sn)
-		rv := scratch.rv
-		for si := 0; si < sn; si++ {
-			if isOld[si] {
-				scratch.dv[si] = dOld[ids[si]]
-				scratch.fv[si] = fOld[ids[si]]
-			}
-			rv[si] = relAbs[ids[si]] - timeBase
-		}
-		// The merge + Delay_Idle_Slots + chop iteration itself lives in
-		// Step.Run, shared verbatim with the streaming driver.
-		scratch.stepIn = StepIn{
-			View: view, M: m, Tie: tie, IsOld: isOld,
-			DOld: scratch.dv, FOld: scratch.fv, ROld: rv,
-			OldCount: len(oldIDs), OldMakespan: oldMakespan,
-			Block: b, SkipDelay: opt.SkipDelay,
-			Tracer: tr, Budget: opt.Budget,
-		}
-		canon := canonTie && (len(oldIDs) == 0 || maxOld < newIDs[0])
-		out, err := scratch.step.RunMemo(&scratch.stepIn, opt.StepCache, canon)
-		if err != nil {
-			return nil, err
-		}
-		s, d := out.S, out.D
-		for _, si := range out.Minus {
-			oi := ids[si]
-			emitted = append(emitted, oi)
-			absStart[oi] = s.Start[si] + timeBase
-			absUnit[oi] = s.Unit[si]
-			// The committed node's out-edges vanish from every later view;
-			// record their latency lower bounds as absolute releases on the
-			// destinations — carried nodes and nodes of blocks that have not
-			// even arrived yet alike.
-			f := absStart[oi] + int(gview.Exec[oi])
-			for ei := gview.Off[oi]; ei < gview.Off[oi+1]; ei++ {
-				if r := f + int(gview.Lat[ei]); r > relAbs[gview.Dst[ei]] {
-					relAbs[gview.Dst[ei]] = r
-				}
-			}
-		}
-		oldIDs = oldIDs[:0]
-		plusOrder = plusOrder[:0]
-		maxOld = graph.NodeID(-1)
-		for _, si := range out.Plus {
-			oi := ids[si]
-			oldIDs = append(oldIDs, oi)
-			if oi > maxOld {
-				maxOld = oi
-			}
-			dOld[oi] = d[si] - out.Base
-			fOld[oi] = s.Finish(si) - out.Base
-			plusOrder = append(plusOrder, oi)
-			// Tentative placement; overwritten if a later merge reorders it.
-			absStart[oi] = s.Start[si] + timeBase
-			absUnit[oi] = s.Unit[si]
-		}
-		oldMakespan = s.Makespan() - out.Base
-		timeBase += out.Base
 	}
-	emitted = append(emitted, plusOrder...)
-	scratch.emitted = emitted[:0]
-	scratch.oldIDs = oldIDs[:0]
-	scratch.plusOrder = plusOrder[:0]
-
-	out, err := assembleResult(g, m, csr, scratch, emitted, absStart, absUnit)
+	out, err := w.result(g)
 	if err != nil {
 		return nil, err
 	}
@@ -427,10 +295,215 @@ func LookaheadOpts(g *graph.Graph, m *machine.Machine, opt Options) (*Result, er
 	return out, nil
 }
 
+// traceWalk is the per-block walk of Algorithm Lookahead: merge + delay +
+// chop for one block at a time, carrying the suffix state between blocks.
+// The sequential path drives it over LookaheadOpts's block grouping; the
+// parallel driver and every speculative worker drive it over ranges of the
+// same block groups from different entry states (parallel.go).
+type traceWalk struct {
+	scratch *laScratch
+	csr     *graph.CSR
+	gview   graph.AdjView
+	m       *machine.Machine
+	sc      *StepCache
+	skip    bool
+	tiePos  []int // tie positions by original ID; nil = identity (program order)
+	tr      obs.Tracer
+	budget  *sbudget.State
+	groups  *blockGroups // the parallel path's group table (nil on the sequential path)
+
+	// Stitched absolute schedule: frames advance by each chop's base.
+	absStart []int
+	absUnit  []int
+	dOld     []int // carried-suffix deadlines, dense by original ID
+	fOld     []int // carried-suffix finish times, dense by original ID
+	// relAbs[v] is the absolute earliest start owed to v by latencies of
+	// already-committed predecessors. Chop commits a prefix and drops its
+	// nodes — and their out-edges — from every later view, so each committed
+	// node's latencies are recorded here and handed to the later merges as
+	// frame-relative release times. In the restricted model (0/1 latencies)
+	// the chop's idle slot provides exactly the needed slack and every
+	// release is stale by construction; longer latencies (§4.2 machines)
+	// genuinely need the floor or a later merge may hoist a dependent above
+	// it and predict an illegal start.
+	relAbs []int
+
+	emitted   []graph.NodeID
+	oldIDs    []graph.NodeID // original IDs carried forward
+	plusOrder []graph.NodeID // S+ of the most recent iteration, original IDs
+	// maxOld is the largest carried ID. The step cache requires the carried
+	// suffix to occupy the view's ID prefix — every carried ID below every
+	// new one — so the canonical-layout gate is O(1) per block.
+	maxOld graph.NodeID
+
+	oldMakespan int
+	timeBase    int
+
+	logFloors bool
+	floorLog  []floorWrite
+}
+
+// floorWrite is one logged release-floor update (absolute value in the
+// writer's own frame); the splice replays the log into the driver's state
+// shifted by the join delta.
+type floorWrite struct {
+	dst graph.NodeID
+	r   int
+}
+
+// init binds the walk to a pooled scratch and resets it to the empty entry
+// state (no suffix, zero floors, time base zero). scratch.byBlock is left
+// holding the identity permutation.
+func (w *traceWalk) init(csr *graph.CSR, m *machine.Machine, opt *Options, gr *blockGroups, scratch *laScratch) {
+	n := csr.Len()
+	scratch.grow(n)
+	w.scratch, w.csr, w.m = scratch, csr, m
+	w.sc, w.skip, w.groups = opt.StepCache, opt.SkipDelay, gr
+	w.tr, w.budget = opt.Tracer, opt.Budget
+	w.tiePos = nil
+	if opt.Tie != nil {
+		w.tiePos = scratch.tiePos[:n]
+		for i, id := range opt.Tie {
+			w.tiePos[id] = i
+		}
+	}
+	w.gview = csr.View()
+	byBlock := scratch.byBlock[:n]
+	for i := range byBlock {
+		byBlock[i] = graph.NodeID(i)
+	}
+	w.absStart = scratch.absStart[:n]
+	w.absUnit = scratch.absUnit[:n]
+	for i := range w.absStart {
+		w.absStart[i] = sched.Unassigned
+		w.absUnit[i] = sched.Unassigned
+	}
+	w.dOld = scratch.dOld[:n]
+	w.fOld = scratch.fOld[:n]
+	w.relAbs = scratch.relAbs[:n]
+	clear(w.relAbs)
+	w.emitted = scratch.emitted[:0]
+	w.oldIDs = scratch.oldIDs[:0]
+	w.plusOrder = scratch.plusOrder[:0]
+	w.maxOld = graph.NodeID(-1)
+	w.oldMakespan = 0
+	w.timeBase = 0
+	w.logFloors = false
+	w.floorLog = w.floorLog[:0]
+	// A pooled Step may carry a stale suffix fingerprint from its previous
+	// owner; RunMemo re-establishes it at the first empty-suffix merge.
+	scratch.step.suffOK = false
+}
+
+// block advances the walk by one block: newIDs are block b's nodes in
+// ascending ID order. The block is merged with the carried suffix as an
+// induced view of the trace CSR, the Step outcome's prefix is committed at
+// absolute times, and its suffix is carried into the next chop frame.
+func (w *traceWalk) block(newIDs []graph.NodeID, b int) error {
+	if err := w.budget.Check(); err != nil {
+		return err
+	}
+	scratch := w.scratch
+	// cur = old ∪ new (ascending IDs; old and new are disjoint).
+	ids := append(scratch.ids[:0], w.oldIDs...)
+	ids = append(ids, newIDs...)
+	scratch.ids = ids
+	slices.Sort(ids)
+	scratch.sub.Init(w.csr, ids)
+	sn := scratch.sub.Len()
+
+	scratch.isOld = growSlice(scratch.isOld, sn)
+	isOld := scratch.isOld
+	clear(isOld)
+	for _, id := range w.oldIDs {
+		isOld[scratch.sub.ToSub(id)] = true
+	}
+	if w.tiePos != nil {
+		scratch.tie = subTieInto(scratch.tie, ids, w.tiePos)
+	} else {
+		scratch.tie = growSlice(scratch.tie, sn)
+		for i := range scratch.tie {
+			scratch.tie[i] = graph.NodeID(i)
+		}
+	}
+	scratch.dv = growSlice(scratch.dv, sn)
+	scratch.fv = growSlice(scratch.fv, sn)
+	scratch.rv = growSlice(scratch.rv, sn)
+	for si := 0; si < sn; si++ {
+		if isOld[si] {
+			scratch.dv[si] = w.dOld[ids[si]]
+			scratch.fv[si] = w.fOld[ids[si]]
+		}
+		scratch.rv[si] = w.relAbs[ids[si]] - w.timeBase
+	}
+	scratch.stepIn = StepIn{
+		View: scratch.sub.View(), M: w.m, Tie: scratch.tie, IsOld: isOld,
+		DOld: scratch.dv, FOld: scratch.fv, ROld: scratch.rv,
+		OldCount: len(w.oldIDs), OldMakespan: w.oldMakespan,
+		Block: b, SkipDelay: w.skip,
+		Tracer: w.tr, Budget: w.budget,
+	}
+	canon := w.tiePos == nil && (len(w.oldIDs) == 0 || w.maxOld < newIDs[0])
+	out, err := scratch.step.RunMemo(&scratch.stepIn, w.sc, canon)
+	if err != nil {
+		return err
+	}
+	s, d := out.S, out.D
+	for _, si := range out.Minus {
+		oi := ids[si]
+		w.emitted = append(w.emitted, oi)
+		w.absStart[oi] = s.Start[si] + w.timeBase
+		w.absUnit[oi] = s.Unit[si]
+		// The committed node's out-edges vanish from every later view;
+		// record their latency lower bounds as absolute releases on the
+		// destinations — carried nodes and nodes of blocks that have not
+		// even arrived yet alike.
+		f := w.absStart[oi] + int(w.gview.Exec[oi])
+		for ei := w.gview.Off[oi]; ei < w.gview.Off[oi+1]; ei++ {
+			if r := f + int(w.gview.Lat[ei]); r > w.relAbs[w.gview.Dst[ei]] {
+				w.relAbs[w.gview.Dst[ei]] = r
+				if w.logFloors {
+					w.floorLog = append(w.floorLog, floorWrite{dst: w.gview.Dst[ei], r: r})
+				}
+			}
+		}
+	}
+	w.oldIDs = w.oldIDs[:0]
+	w.plusOrder = w.plusOrder[:0]
+	w.maxOld = graph.NodeID(-1)
+	for _, si := range out.Plus {
+		oi := ids[si]
+		w.oldIDs = append(w.oldIDs, oi)
+		w.maxOld = max(w.maxOld, oi)
+		w.dOld[oi] = d[si] - out.Base
+		w.fOld[oi] = s.Finish(si) - out.Base
+		w.plusOrder = append(w.plusOrder, oi)
+		// Tentative placement; overwritten if a later merge reorders it.
+		w.absStart[oi] = s.Start[si] + w.timeBase
+		w.absUnit[oi] = s.Unit[si]
+	}
+	w.oldMakespan = s.Makespan() - out.Base
+	w.timeBase += out.Base
+	return nil
+}
+
+// finish returns the walk's grown buffers to the scratch for pooling.
+func (w *traceWalk) finish() {
+	w.scratch.emitted = w.emitted[:0]
+	w.scratch.oldIDs = w.oldIDs[:0]
+	w.scratch.plusOrder = w.plusOrder[:0]
+}
+
+// result ends a complete walk: the last carried suffix is emitted as
+// scheduled, and the placements are packaged into the Result.
+func (w *traceWalk) result(g *graph.Graph) (*Result, error) {
+	w.emitted = append(w.emitted, w.plusOrder...)
+	w.finish()
+	return assembleResult(g, w.m, w.csr, w.scratch, w.emitted, w.absStart, w.absUnit)
+}
+
 // assembleResult packages a completed walk's absolute placements and
-// emission order into a Result — the shared tail of the sequential walk and
-// the parallel driver, so the two paths stay allocation- and bit-identical
-// by construction.
+// emission order into a Result.
 func assembleResult(g *graph.Graph, m *machine.Machine, csr *graph.CSR,
 	scratch *laScratch, emitted []graph.NodeID, absStart, absUnit []int) (*Result, error) {
 	n := g.Len()
@@ -468,7 +541,7 @@ func assembleResult(g *graph.Graph, m *machine.Machine, csr *graph.CSR,
 		if cnt[bb] == 0 {
 			continue
 		}
-		out.BlockOrders[bb] = backing[off:off : off+cnt[bb]]
+		out.BlockOrders[bb] = backing[off : off : off+cnt[bb]]
 		off += cnt[bb]
 	}
 	for _, id := range emitted {

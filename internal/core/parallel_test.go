@@ -107,35 +107,44 @@ func specTestInstance(t *testing.T, seed int) (*graph.Graph, *machine.Machine) {
 // across ~300 random traces spanning latency regimes, machine shapes, and
 // barrier densities, the speculative parallel path at every forced segment
 // width is bit-identical to the sequential walk — with and without a step
-// cache (shared across instances, so later instances also exercise the
-// hint-seeded lane on whatever structure repeats).
+// cache shared across instances. The last input is a maximally repetitive
+// trace run twice at one width through that cache, so the repeat's workers
+// replay the first run's fragments from their first warm-up block on.
 func TestSpeculativeTraceBitIdentical(t *testing.T) {
 	sc := NewStepCache(StepCacheConfig{})
 	defer sc.Release()
-	widths := []int{2, 3, 4, 8}
-	for seed := 0; seed < 75; seed++ {
-		g, m := specTestInstance(t, seed)
+	check := func(tag string, g *graph.Graph, m *machine.Machine, opts []Options) {
+		t.Helper()
 		seq, err := LookaheadOpts(g, m, Options{Parallel: -1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for wi, p := range widths {
-			opt := Options{Parallel: p}
-			tag := "bare"
-			if (seed+wi)%2 == 1 {
-				opt.StepCache = sc
-				tag = "cached"
-			}
+		for _, opt := range opts {
 			par, err := LookaheadOpts(g, m, opt)
+			tag := fmt.Sprintf("%s/p=%d/cached=%t", tag, opt.Parallel, opt.StepCache != nil)
 			if err != nil {
-				t.Fatalf("seed %d p=%d %s: %v", seed, p, tag, err)
+				t.Fatalf("%s: %v", tag, err)
 			}
-			requireSameResult(t, fmt.Sprintf("%s/seed=%d/p=%d", tag, seed, p), seq, par)
+			requireSameResult(t, tag, seq, par)
 		}
 	}
+	widths := []int{2, 3, 4, 8}
+	for seed := 0; seed < 75; seed++ {
+		g, m := specTestInstance(t, seed)
+		opts := make([]Options, len(widths))
+		for wi, p := range widths {
+			opts[wi].Parallel = p
+			if (seed+wi)%2 == 1 {
+				opts[wi].StepCache = sc
+			}
+		}
+		check(fmt.Sprintf("seed=%d", seed), g, m, opts)
+	}
+	repeat := Options{Parallel: 4, StepCache: sc}
+	check("repetitive", repetitiveChainTrace(48, 8), machine.SingleUnit(4), []Options{repeat, repeat})
 	st := SpecCounters()
-	t.Logf("cumulative: runs=%d segments=%d hits=%d misses=%d fallback=%d laneB=%d",
-		st.Runs, st.Segments, st.Hits, st.Misses, st.FallbackBlocks, st.LaneB)
+	t.Logf("cumulative: runs=%d segments=%d hits=%d misses=%d fallback=%d",
+		st.Runs, st.Segments, st.Hits, st.Misses, st.FallbackBlocks)
 }
 
 // TestSpeculativeForcedMismatch fault-injects a wrong verification verdict
@@ -179,12 +188,11 @@ func diffSpec(a, b SpecStats) SpecStats {
 		Runs: b.Runs - a.Runs, Segments: b.Segments - a.Segments,
 		Hits: b.Hits - a.Hits, Misses: b.Misses - a.Misses,
 		FallbackBlocks: b.FallbackBlocks - a.FallbackBlocks,
-		LaneB:          b.LaneB - a.LaneB,
 	}
 }
 
 // repetitiveChainTrace builds a trace of identical latency-1 chain blocks —
-// maximal structural repetition, the regime the join-hint lane targets.
+// maximal structural repetition, where the step cache replays the most.
 func repetitiveChainTrace(blocks, size int) *graph.Graph {
 	g := graph.New(blocks * size)
 	for b := 0; b < blocks; b++ {
@@ -198,40 +206,6 @@ func repetitiveChainTrace(blocks, size int) *graph.Graph {
 		}
 	}
 	return g
-}
-
-// TestSpeculativeLaneBHints schedules a maximally repetitive trace twice
-// through one step cache: the first run's joins store cut-neighborhood
-// hints, so the second run's workers must seed from them (lane B), skip the
-// warm-up, and still verify and produce bit-identical output.
-func TestSpeculativeLaneBHints(t *testing.T) {
-	g := repetitiveChainTrace(48, 8)
-	m := machine.SingleUnit(4)
-	seq, err := LookaheadOpts(g, m, Options{Parallel: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc := NewStepCache(StepCacheConfig{})
-	defer sc.Release()
-	first, err := LookaheadOpts(g, m, Options{Parallel: 4, StepCache: sc})
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireSameResult(t, "laneB-first", seq, first)
-	before := SpecCounters()
-	second, err := LookaheadOpts(g, m, Options{Parallel: 4, StepCache: sc})
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireSameResult(t, "laneB-second", seq, second)
-	d := diffSpec(before, SpecCounters())
-	if d.LaneB == 0 {
-		t.Fatalf("second run used no join hints (segments=%d hits=%d misses=%d)",
-			d.Segments, d.Hits, d.Misses)
-	}
-	if d.Hits != d.Segments {
-		t.Fatalf("hint-seeded run should fully verify: hits=%d of %d segments", d.Hits, d.Segments)
-	}
 }
 
 // TestParallelTraceGates pins every condition that must keep the parallel

@@ -23,10 +23,16 @@ package core
 //     into two words;
 //   - the new nodes' exec/class attributes (their block is implied: one new
 //     block, ordered after every suffix block);
-//   - every edge of the view as (src, dst, latency) in view IDs — view IDs
-//     are canonical positions, so relocated copies of the same structure
-//     hash identically;
-//   - the nonzero release floors as (view ID, floor) pairs.
+//   - the view's edge count, then every edge as (src, dst, latency) in view
+//     IDs — view IDs are canonical positions, so relocated copies of the
+//     same structure hash identically;
+//   - the positive release floors as (view ID, floor) pairs.
+//
+// Both variable-length lists are framed: the edge count ends the edge list
+// and Hasher.Sum folds in the total word count, which ends the floor list.
+// Without the edge count, a block with edges 0→1 and 1→2 (latency 1) and
+// no floors absorbs the same words as the same block with no edges and
+// floor 1 on every node, and the second would replay the first's schedule.
 //
 // # Incremental suffix fingerprint
 //
@@ -77,7 +83,6 @@ package core
 
 import (
 	"encoding/binary"
-	"sync"
 
 	"aisched/internal/graph"
 	"aisched/internal/memo"
@@ -123,18 +128,8 @@ type StepCacheConfig struct {
 // concurrent use: one cache is shared by every worker of a batch Scheduler
 // (fragments are immutable once stored; each worker's Step replays into its
 // own scratch).
-//
-// It also carries the speculative join-hint table (parallel.go): small
-// block-relative snapshots of the carried-suffix state observed at segment
-// cuts, keyed by the cut's structural neighborhood, which seed the second
-// speculation lane on repetitive traces. Hints are advisory — a wrong hint
-// only costs a failed verification — so the table is a plain bounded map
-// under one mutex, touched once per segment, never on the merge hot path.
 type StepCache struct {
 	c *memo.Cache
-
-	hintMu sync.Mutex
-	hints  map[graph.Hash128]*specHint
 }
 
 // NewStepCache builds a step cache.
@@ -151,15 +146,9 @@ func NewStepCache(cfg StepCacheConfig) *StepCache {
 func (sc *StepCache) Counters() memo.Counters { return sc.c.Counters() }
 
 // Release drops every resident fragment, returning their bytes to the
-// process-wide gauge, and clears the speculative join-hint table. Owners
-// with bounded lifetimes (a closed stream) call this so the resident-bytes
-// metric tracks live caches.
-func (sc *StepCache) Release() {
-	sc.c.Release()
-	sc.hintMu.Lock()
-	sc.hints = nil
-	sc.hintMu.Unlock()
-}
+// process-wide gauge. Owners with bounded lifetimes (a closed stream) call
+// this so the resident-bytes metric tracks live caches.
+func (sc *StepCache) Release() { sc.c.Release() }
 
 // stepFrag is one cached Step outcome. All cycles are chop-frame-relative
 // and all node references are view IDs, which is what makes the fragment
@@ -251,12 +240,14 @@ func (st *Step) stepKey(in *StepIn) memo.Key {
 	for _, u := range in.M.Units {
 		h.Int(u)
 	}
-	h.Word(st.suffFP.Lo)
-	h.Word(st.suffFP.Hi)
+	h.Hash128(st.suffFP)
 	for si := in.OldCount; si < n; si++ {
 		h.Int(int(view.Exec[si]))
 		h.Int(int(view.Class[si]))
 	}
+	// The edge count frames the edge list, so no edge list can absorb the
+	// same words as a shorter one followed by release floors.
+	h.Int(int(view.Off[n]))
 	for si := 0; si < n; si++ {
 		for ei := view.Off[si]; ei < view.Off[si+1]; ei++ {
 			h.Int(si)

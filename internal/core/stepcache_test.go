@@ -7,6 +7,7 @@ import (
 
 	"aisched/internal/graph"
 	"aisched/internal/machine"
+	"aisched/internal/memo"
 	"aisched/internal/obs"
 )
 
@@ -298,5 +299,134 @@ func TestStepCacheMaxOldGatingBypass(t *testing.T) {
 	}
 	if c := sc.Counters(); c.Hits > 1 {
 		t.Fatalf("gated merge was served from cache on replay: %+v", c)
+	}
+}
+
+// blockStepIn builds the canonical StepIn of one block merged into an empty
+// suffix: unit-time nodes of class 0, the given forward edges (latency < 0
+// means no edge; lat[i][j] for i < j), and the given release floors.
+func blockStepIn(m *machine.Machine, lat [][]int, floors []int) *StepIn {
+	n := len(floors)
+	g := graph.New(n)
+	for i := 0; i < n; i++ {
+		g.AddNode("", 1, 0, 0)
+	}
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			if lat[i][j] >= 0 {
+				g.MustEdge(graph.NodeID(i), graph.NodeID(j), lat[i][j], 0)
+			}
+		}
+	}
+	tie := make([]graph.NodeID, n)
+	for i := range tie {
+		tie[i] = graph.NodeID(i)
+	}
+	return &StepIn{
+		View: graph.NewCSR(g).View(), M: m, Tie: tie, IsOld: make([]bool, n),
+		DOld: make([]int, n), FOld: make([]int, n), ROld: append([]int(nil), floors...),
+	}
+}
+
+// stepOutString renders every field of a step outcome, so outcomes can be
+// compared after the Step's scratch they alias has been reused.
+func stepOutString(out StepOut) string {
+	return fmt.Sprint(out.S.Start, out.S.Unit, out.D, out.Minus, out.Plus, out.Base, out.Repaired)
+}
+
+// TestStepCacheKeyFramesEdges is the regression for a step-key collision:
+// a 3-node chain with latency-1 edges 0→1→2 and no floors once hashed to the
+// same words as the edgeless block with floor 1 on every node, so the
+// second replayed the chain's finishes (1, 3, 5) instead of its own
+// (2, 3, 4).
+func TestStepCacheKeyFramesEdges(t *testing.T) {
+	m := machine.SingleUnit(4)
+	chain := blockStepIn(m, [][]int{{-1, 1, -1}, {-1, -1, 1}, {-1, -1, -1}}, []int{0, 0, 0})
+	floored := blockStepIn(m, [][]int{{-1, -1, -1}, {-1, -1, -1}, {-1, -1, -1}}, []int{1, 1, 1})
+	sc := NewStepCache(StepCacheConfig{})
+	defer sc.Release()
+	var st Step
+	if _, err := st.RunMemo(chain, sc, true); err != nil {
+		t.Fatal(err)
+	}
+	before := sc.Counters()
+	got, err := st.RunMemo(floored, sc, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c := sc.Counters(); c.Hits != before.Hits || c.Misses != before.Misses+1 {
+		t.Fatalf("floored block after the chain: hits %d -> %d, misses %d -> %d; want one miss",
+			before.Hits, c.Hits, before.Misses, c.Misses)
+	}
+	var ref Step
+	want, err := ref.Run(floored)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g, w := stepOutString(got), stepOutString(want); g != w {
+		t.Fatalf("floored block via the cache: %s, want %s", g, w)
+	}
+}
+
+// TestStepCacheKeyExhaustive enumerates every canonical StepIn of up to 3
+// new nodes merged into an empty suffix — each forward pair with no edge or
+// an edge of latency 0, 1 or 2, each node with release floor 0, 1 or 2 —
+// and requires inputs that share a step key to share a Step.Run outcome.
+// This guards the key's framing as a whole, not one colliding pair.
+func TestStepCacheKeyExhaustive(t *testing.T) {
+	m := machine.SingleUnit(2)
+	outs := map[memo.Key]string{}
+	tags := map[memo.Key]string{}
+	var st Step
+	inputs := 0
+	for n := 1; n <= 3; n++ {
+		var pairs [][2]int
+		for i := 0; i < n; i++ {
+			for j := i + 1; j < n; j++ {
+				pairs = append(pairs, [2]int{i, j})
+			}
+		}
+		edgeCases, floorCases := 1, 1
+		for range pairs {
+			edgeCases *= 4
+		}
+		for i := 0; i < n; i++ {
+			floorCases *= 3
+		}
+		for ec := 0; ec < edgeCases; ec++ {
+			lat := make([][]int, n)
+			for i := range lat {
+				lat[i] = make([]int, n)
+				for j := range lat[i] {
+					lat[i][j] = -1
+				}
+			}
+			for k, p, c := 0, pairs, ec; k < len(p); k, c = k+1, c/4 {
+				lat[p[k][0]][p[k][1]] = c%4 - 1
+			}
+			for fc := 0; fc < floorCases; fc++ {
+				floors := make([]int, n)
+				for i, c := 0, fc; i < n; i, c = i+1, c/3 {
+					floors[i] = c % 3
+				}
+				in := blockStepIn(m, lat, floors)
+				st.suffFP = emptySuffixFP
+				key := st.stepKey(in)
+				out, err := st.Run(in)
+				if err != nil {
+					t.Fatal(err)
+				}
+				inputs++
+				tag := fmt.Sprintf("edges %v floors %v", lat, floors)
+				got := stepOutString(out)
+				if want, ok := outs[key]; ok && want != got {
+					t.Fatalf("step key collision: %s -> %s, but %s -> %s", tags[key], want, tag, got)
+				}
+				outs[key], tags[key] = got, tag
+			}
+		}
+	}
+	if inputs != 3+4*9+64*27 {
+		t.Fatalf("enumerated %d inputs, want %d", inputs, 3+4*9+64*27)
 	}
 }

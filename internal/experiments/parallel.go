@@ -14,10 +14,9 @@ import (
 
 // P3 measures the speculative parallel trace scheduler across trace length
 // and barrier rate: sequential vs forced-parallel wall clock, the join
-// verification hit rate, lane-B hint seeding on a repeat run through a shared
-// step cache, and the blocks recomputed on mismatches. Every parallel result
-// is checked bit-identical to the sequential walk — that is the acceptance
-// that must hold on any host.
+// verification hit rate, and the blocks recomputed on mismatches. Every
+// parallel result is checked bit-identical to the sequential walk — that is
+// the acceptance that must hold on any host.
 //
 // The wall-clock speedup is a function of the machine: segment workers run
 // concurrently, so the walk scales only with *physical* cores — and Go
@@ -40,7 +39,7 @@ func P3(seed int64, reps int) (*Result, error) {
 		nseg = 4
 	}
 	t := tables.New(fmt.Sprintf("P3: speculative parallel trace scheduling (forced %d segments, GOMAXPROCS=%d, best of %d)", nseg, procs, reps),
-		"trace", "blocks", "seq µs", "par µs", "speedup", "verified", "laneB (2nd run)", "fallback blocks")
+		"trace", "blocks", "seq µs", "par µs", "speedup", "verified", "fallback blocks")
 	res := &Result{ID: "P3", Table: t, Passed: true}
 
 	cases := []struct {
@@ -99,32 +98,10 @@ func P3(seed int64, reps int) (*Result, error) {
 			hit = float64(hits) / float64(segs)
 		}
 
-		// Lane B: the same trace twice through one step-cache-backed
-		// scheduler; the first run stores join hints, the second seeds
-		// segment entry states from them instead of warm-up run-ins.
-		lbSched := aisched.NewScheduler(aisched.SchedulerOptions{
-			CacheCapacity: -1, ParallelTrace: nseg,
-		})
-		if _, err := lbSched.ScheduleTrace(g, m); err != nil {
-			return nil, err
-		}
-		midLB := aisched.SpecTraceCounters()
-		got2, err := lbSched.ScheduleTrace(g, m)
-		if err != nil {
-			return nil, err
-		}
-		if diff := specDiff(want, got2); diff != "" {
-			res.Passed = false
-			res.Notes = append(res.Notes, fmt.Sprintf("%s/%d: lane-B result diverged: %s", c.name, c.blocks, diff))
-			continue
-		}
-		laneB := aisched.SpecTraceCounters().LaneB - midLB.LaneB
-
 		speed := float64(seqNS) / float64(parNS)
 		t.Add(c.name, c.blocks,
 			seqNS/1000, parNS/1000, fmt.Sprintf("%.2fx", speed),
-			fmt.Sprintf("%d/%d (%.0f%%)", hits, segs, 100*hit),
-			laneB, fallback)
+			fmt.Sprintf("%d/%d (%.0f%%)", hits, segs, 100*hit), fallback)
 
 		if c.barrierEvery == 2 && hit < 0.5 {
 			res.Passed = false

@@ -74,9 +74,8 @@ func (h *Hasher) Word(v uint64) {
 func (h *Hasher) Int(v int) { h.Word(uint64(int64(v))) }
 
 // Hash128 absorbs a previously computed 128-bit sum as two words, so derived
-// keys (a cut-neighborhood hash over per-block content hashes, a step key
-// folding in a carried-suffix fingerprint) compose without re-hashing the
-// underlying content.
+// keys (a step key folding in a carried-suffix fingerprint) compose without
+// re-hashing the underlying content.
 func (h *Hasher) Hash128(v Hash128) {
 	h.Word(v.Lo)
 	h.Word(v.Hi)

@@ -69,10 +69,11 @@ echo "== speculation-off trace path must stay at its exact allocation count"
 # The speculative parallel dispatch gate must cost an integer compare on the
 # default small-trace path: pinned at BENCH_PR8's exact 133 allocs/op.
 go test -run '^TestScheduleTraceAllocExactSpecOff$' -count=1 .
-echo "== speculative results must be deterministic across runs and -cpu"
-# The same invariant CI's parallel-determinism job enforces: speculation is
-# bit-identical to the sequential walk regardless of GOMAXPROCS or repetition.
-go test -run 'Speculative|ParallelTrace' -count=2 -cpu=1,4 ./...
+echo "== speculative and step-cache results must be deterministic across runs and -cpu"
+# The same invariant CI's parallel-determinism job enforces: speculation and
+# step-cache replay are bit-identical to the sequential walk regardless of
+# GOMAXPROCS or repetition.
+go test -run 'Speculative|ParallelTrace|StepCache' -count=2 -cpu=1,4 ./...
 echo "== benchsnap -compare BENCH_PR12.json"
 go run ./cmd/benchsnap -compare BENCH_PR12.json
 echo "check: OK"

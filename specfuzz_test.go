@@ -3,10 +3,11 @@ package aisched
 // Differential fuzzing for the speculative parallel trace scheduler:
 // arbitrary bytes decode into a restricted-model trace (see fuzz_test.go),
 // which is replicated into a long trace — repetition plus stitch edges gives
-// the fuzzer both the repetitive structure lane B feeds on and cross-copy
-// release floors the join verification must compare — and scheduled with
-// speculation forced at several segment widths. The invariant is exact:
-// every speculative result must be bit-identical to the sequential walk.
+// the fuzzer both the repetitive structure the step cache replays and
+// cross-copy release floors the join verification must compare — and
+// scheduled with speculation forced at several segment widths. The
+// invariant is exact: every speculative result must be bit-identical to the
+// sequential walk.
 
 import (
 	"testing"
@@ -97,8 +98,8 @@ func FuzzSpeculativeTrace(f *testing.F) {
 				t.Fatalf("parallel p=%d: %v", p, err)
 			}
 			requireSpecIdentical(t, "bare", seq, par)
-			// Twice through one step cache: the second pass runs lane B on
-			// whatever join hints the first stored.
+			// Twice through one step cache: the second pass's driver and
+			// workers replay the fragments the first stored.
 			for pass := 0; pass < 2; pass++ {
 				par, err := core.LookaheadOpts(g, m, core.Options{Parallel: p, StepCache: sc})
 				if err != nil {
