@@ -1,10 +1,11 @@
-package baseline
+package baseline_test
 
 import (
 	"math/rand"
 	"testing"
 	"testing/quick"
 
+	"aisched/internal/baseline"
 	"aisched/internal/graph"
 	"aisched/internal/hw"
 	"aisched/internal/machine"
@@ -15,7 +16,7 @@ import (
 
 func TestAllNamesDistinct(t *testing.T) {
 	seen := map[string]bool{}
-	for _, s := range All() {
+	for _, s := range baseline.All() {
 		if s.Name() == "" || seen[s.Name()] {
 			t.Fatalf("duplicate or empty scheduler name %q", s.Name())
 		}
@@ -28,7 +29,7 @@ func TestAllNamesDistinct(t *testing.T) {
 
 func TestSourceOrderIsIdentity(t *testing.T) {
 	f := paperex.NewFig1()
-	order, err := SourceOrder{}.Order(f.G, machine.SingleUnit(1))
+	order, err := baseline.SourceOrder{}.Order(f.G, machine.SingleUnit(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,8 +43,8 @@ func TestSourceOrderIsIdentity(t *testing.T) {
 func TestEveryBaselineProducesValidPermutation(t *testing.T) {
 	f := paperex.NewFig2()
 	m := machine.SingleUnit(2)
-	for _, s := range All() {
-		order, err := ScheduleTrace(s, f.G, m)
+	for _, s := range baseline.All() {
+		order, err := baseline.ScheduleTrace(s, f.G, m)
 		if err != nil {
 			t.Fatalf("%s: %v", s.Name(), err)
 		}
@@ -88,8 +89,8 @@ func TestCriticalPathBeatsSourceOrderOnLatencyChain(t *testing.T) {
 	_ = f1
 	_ = f2
 	m := machine.SingleUnit(1)
-	so, _ := SourceOrder{}.Order(g, m)
-	cp, _ := CriticalPath{}.Order(g, m)
+	so, _ := baseline.SourceOrder{}.Order(g, m)
+	cp, _ := baseline.CriticalPath{}.Order(g, m)
 	sSo, err := sched.ListSchedule(g, m, so)
 	if err != nil {
 		t.Fatal(err)
@@ -109,7 +110,7 @@ func TestCriticalPathBeatsSourceOrderOnLatencyChain(t *testing.T) {
 func TestRankLocalOptimalOnFigure1(t *testing.T) {
 	f := paperex.NewFig1()
 	m := machine.SingleUnit(1)
-	order, err := RankLocal{}.Order(f.G, m)
+	order, err := baseline.RankLocal{}.Order(f.G, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +140,7 @@ func TestCoffmanGrahamOptimalZeroLatencyTwoUnits(t *testing.T) {
 			}
 		}
 		m := machine.Superscalar(2, 1)
-		order, err := CoffmanGraham{}.Order(g, m)
+		order, err := baseline.CoffmanGraham{}.Order(g, m)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -185,7 +186,7 @@ func TestPropertyRankLocalNeverWorseThanOtherLocals(t *testing.T) {
 			}
 		}
 		m := machine.SingleUnit(1)
-		mk := func(s Scheduler) int {
+		mk := func(s baseline.Scheduler) int {
 			order, err := s.Order(g, m)
 			if err != nil {
 				return -1
@@ -196,11 +197,11 @@ func TestPropertyRankLocalNeverWorseThanOtherLocals(t *testing.T) {
 			}
 			return sc.Makespan()
 		}
-		rl := mk(RankLocal{})
+		rl := mk(baseline.RankLocal{})
 		if rl < 0 {
 			return false
 		}
-		for _, s := range All() {
+		for _, s := range baseline.All() {
 			v := mk(s)
 			if v < 0 || v < rl {
 				return false

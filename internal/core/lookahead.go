@@ -23,15 +23,23 @@
 // latencies, single functional unit) and is the recommended heuristic
 // otherwise (§4.2).
 //
+// One walk (traceWalk) implements this loop and its carried suffix for
+// every driver: the sequential LookaheadOpts path, the speculative parallel
+// driver (parallel.go) and the incremental Stream (stream.go), which runs
+// one walk step per pushed block with lookahead k bounding how long a block
+// may stay in the suffix — offline scheduling is the k = Unbounded case.
+//
 // The merge loop is built on flat graph views: the trace graph is flattened
 // into a CSR once per call, each block's old ∪ new subgraph is an induced
-// view (graph.Sub) with a dense remap array instead of a rebuilt *Graph, and
-// one reusable rank context is Reset per view — so the per-block loop
+// view (graph.Sub) with a dense remap array instead of a rebuilt *Graph — or
+// the bound view itself when old ∪ new covers it, as on every stream push —
+// and one reusable rank context is Reset per view, so the per-block loop
 // allocates only the schedules it keeps.
 package core
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"sync"
@@ -43,58 +51,28 @@ import (
 	"aisched/internal/sched"
 )
 
-// laScratch pools Algorithm Lookahead's per-call buffers — whole-trace
-// arrays (tie positions, stitched absolute schedule, dense carried deadlines,
-// block grouping), the per-block merge state (induced view, rank context,
-// deadline/rank/tie/mask scratch) and the chop scratch — so batch pipelines
-// that schedule many traces concurrently reuse them per worker instead of
-// reallocating per call. The final Result copies out of everything pooled,
-// so nothing pooled escapes.
-type laScratch struct {
-	tiePos   []int
-	absStart []int
-	absUnit  []int
-	dOld     []int // carried-suffix deadlines, dense by original node ID
-	fOld     []int // carried-suffix finish times, dense by original node ID
-	relAbs   []int // absolute release times, dense by original node ID
-	byBlock  []graph.NodeID
-
-	step   Step
-	stepIn StepIn
-	sub    graph.Sub
-
-	ids       []graph.NodeID
-	oldIDs    []graph.NodeID
-	plusOrder []graph.NodeID
-	emitted   []graph.NodeID
-	tie       []graph.NodeID
-	isOld     []bool
-	dv        []int // per-view carried deadlines handed to Step
-	fv        []int // per-view carried finishes handed to Step
-	rv        []int // per-view carried releases handed to Step
-
-	blockOff []int
-}
-
-var laPool = sync.Pool{New: func() any { return new(laScratch) }}
-
-func (st *laScratch) grow(n int) {
-	if cap(st.tiePos) < n {
-		st.tiePos = make([]int, n)
-		st.absStart = make([]int, n)
-		st.absUnit = make([]int, n)
-		st.dOld = make([]int, n)
-		st.fOld = make([]int, n)
-		st.relAbs = make([]int, n)
-		st.byBlock = make([]graph.NodeID, n)
-	}
-}
+// walkPool pools traceWalks. A walk owns every buffer of Algorithm
+// Lookahead — the walk-ID arrays (tie positions, stitched absolute schedule,
+// carried deadlines/finishes, release floors, block grouping), the per-block
+// merge state (induced view, Step, deadline/tie/mask scratch) and the result
+// scratch — so batch pipelines that schedule many traces concurrently reuse
+// them per worker instead of reallocating per call. The final Result copies
+// out of everything pooled, so nothing pooled escapes.
+var walkPool = sync.Pool{New: func() any { return new(traceWalk) }}
 
 // growSlice returns buf resized to n, reusing its backing when possible.
 // Contents are unspecified; callers initialise what they read.
 func growSlice[T any](buf []T, n int) []T {
 	if cap(buf) < n {
 		return make([]T, n)
+	}
+	return buf[:n]
+}
+
+// growKeep is growSlice preserving the first len(buf) elements.
+func growKeep[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return append(buf[:len(buf):len(buf)], make([]T, n-len(buf))...)
 	}
 	return buf[:n]
 }
@@ -261,15 +239,14 @@ func LookaheadOpts(g *graph.Graph, m *machine.Machine, opt Options) (*Result, er
 		return lookaheadParallel(g, m, opt, csr, plan)
 	}
 
-	scratch := laPool.Get().(*laScratch)
-	defer laPool.Put(scratch)
-	var w traceWalk
-	w.init(csr, m, &opt, nil, scratch)
+	w := walkPool.Get().(*traceWalk)
+	defer walkPool.Put(w)
+	w.init(csr.View(), m, &opt, nil)
 
 	// Group nodes by block with a stable sort of the identity permutation:
 	// within each block IDs stay ascending, and blocks are visited in
 	// ascending order, robust to sparse or interleaved block numbering.
-	byBlock := scratch.byBlock[:n]
+	byBlock := w.byBlock
 	slices.SortStableFunc(byBlock, func(a, b graph.NodeID) int {
 		return csr.Block(a) - csr.Block(b)
 	})
@@ -295,28 +272,40 @@ func LookaheadOpts(g *graph.Graph, m *machine.Machine, opt Options) (*Result, er
 	return out, nil
 }
 
+// Unbounded is the lookahead of a walk that only the chop rule finalizes:
+// every batch walk, and a Stream that defers entirely to the chop rule.
+const Unbounded = math.MaxInt
+
 // traceWalk is the per-block walk of Algorithm Lookahead: merge + delay +
 // chop for one block at a time, carrying the suffix state between blocks.
-// The sequential path drives it over LookaheadOpts's block grouping; the
-// parallel driver and every speculative worker drive it over ranges of the
-// same block groups from different entry states (parallel.go).
+// It is the only implementation of the carried suffix. The sequential path
+// drives it over LookaheadOpts's block grouping; the parallel driver and
+// every speculative worker drive it over ranges of the same block groups
+// from different entry states (parallel.go); a Stream drives it one pushed
+// block at a time over its live window (stream.go).
+//
+// Walk IDs are the node IDs of the bound view: trace node IDs for a batch
+// walk, live-window indices for a stream, which renumbers them per push
+// (rebind).
 type traceWalk struct {
-	scratch *laScratch
-	csr     *graph.CSR
-	gview   graph.AdjView
-	m       *machine.Machine
-	sc      *StepCache
-	skip    bool
-	tiePos  []int // tie positions by original ID; nil = identity (program order)
-	tr      obs.Tracer
-	budget  *sbudget.State
-	groups  *blockGroups // the parallel path's group table (nil on the sequential path)
+	view   graph.AdjView // the bound adjacency: the trace CSR or a stream's live window
+	m      *machine.Machine
+	sc     *StepCache
+	skip   bool
+	tiePos []int // tie positions by walk ID; empty = identity (program order)
+	tr     obs.Tracer
+	budget *sbudget.State
+	groups *blockGroups // the parallel path's group table (nil elsewhere)
+	// k is the lookahead: once block b is walked, every carried node of a
+	// block at or before b−k is force-finalized (see Stream). Batch walks
+	// use Unbounded, leaving finality to the chop rule alone.
+	k int
 
 	// Stitched absolute schedule: frames advance by each chop's base.
 	absStart []int
 	absUnit  []int
-	dOld     []int // carried-suffix deadlines, dense by original ID
-	fOld     []int // carried-suffix finish times, dense by original ID
+	dOld     []int // carried-suffix deadlines, by walk ID
+	fOld     []int // carried-suffix finish times, by walk ID
 	// relAbs[v] is the absolute earliest start owed to v by latencies of
 	// already-committed predecessors. Chop commits a prefix and drops its
 	// nodes — and their out-edges — from every later view, so each committed
@@ -324,13 +313,12 @@ type traceWalk struct {
 	// frame-relative release times. In the restricted model (0/1 latencies)
 	// the chop's idle slot provides exactly the needed slack and every
 	// release is stale by construction; longer latencies (§4.2 machines)
-	// genuinely need the floor or a later merge may hoist a dependent above
-	// it and predict an illegal start.
+	// and forced cuts genuinely need the floor or a later merge may hoist a
+	// dependent above it and predict an illegal start.
 	relAbs []int
 
-	emitted   []graph.NodeID
-	oldIDs    []graph.NodeID // original IDs carried forward
-	plusOrder []graph.NodeID // S+ of the most recent iteration, original IDs
+	emitted []graph.NodeID
+	carried []graph.NodeID // the carried suffix, in schedule order
 	// maxOld is the largest carried ID. The step cache requires the carried
 	// suffix to occupy the view's ID prefix — every carried ID below every
 	// new one — so the canonical-layout gate is O(1) per block.
@@ -341,6 +329,21 @@ type traceWalk struct {
 
 	logFloors bool
 	floorLog  []floorWrite
+
+	// Per-block scratch.
+	step    Step
+	stepIn  StepIn
+	sub     graph.Sub
+	byBlock []graph.NodeID
+	iota    []graph.NodeID // 0, 1, 2, …; see identity
+	ids     []graph.NodeID // view ID → walk ID of an induced view
+	tie     []graph.NodeID
+	isOld   []bool
+	dv      []int // per-view carried deadlines handed to Step
+	fv      []int // per-view carried finishes handed to Step
+	rv      []int // per-view carried releases handed to Step
+
+	blockOff []int
 }
 
 // floorWrite is one logged release-floor update (absolute value in the
@@ -351,40 +354,38 @@ type floorWrite struct {
 	r   int
 }
 
-// init binds the walk to a pooled scratch and resets it to the empty entry
-// state (no suffix, zero floors, time base zero). scratch.byBlock is left
-// holding the identity permutation.
-func (w *traceWalk) init(csr *graph.CSR, m *machine.Machine, opt *Options, gr *blockGroups, scratch *laScratch) {
-	n := csr.Len()
-	scratch.grow(n)
-	w.scratch, w.csr, w.m = scratch, csr, m
+// init binds the walk to view and resets it to the empty entry state (no
+// suffix, zero floors, time base zero, unbounded lookahead). w.byBlock is
+// left holding the identity permutation.
+func (w *traceWalk) init(view graph.AdjView, m *machine.Machine, opt *Options, gr *blockGroups) {
+	n := view.N
+	w.view, w.m = view, m
 	w.sc, w.skip, w.groups = opt.StepCache, opt.SkipDelay, gr
 	w.tr, w.budget = opt.Tracer, opt.Budget
-	w.tiePos = nil
+	w.k = Unbounded
+	w.tiePos = w.tiePos[:0]
 	if opt.Tie != nil {
-		w.tiePos = scratch.tiePos[:n]
+		w.tiePos = growSlice(w.tiePos, n)
 		for i, id := range opt.Tie {
 			w.tiePos[id] = i
 		}
 	}
-	w.gview = csr.View()
-	byBlock := scratch.byBlock[:n]
-	for i := range byBlock {
-		byBlock[i] = graph.NodeID(i)
+	w.byBlock = growSlice(w.byBlock, n)
+	for i := range w.byBlock {
+		w.byBlock[i] = graph.NodeID(i)
 	}
-	w.absStart = scratch.absStart[:n]
-	w.absUnit = scratch.absUnit[:n]
+	w.absStart = growSlice(w.absStart, n)
+	w.absUnit = growSlice(w.absUnit, n)
 	for i := range w.absStart {
 		w.absStart[i] = sched.Unassigned
 		w.absUnit[i] = sched.Unassigned
 	}
-	w.dOld = scratch.dOld[:n]
-	w.fOld = scratch.fOld[:n]
-	w.relAbs = scratch.relAbs[:n]
+	w.dOld = growSlice(w.dOld, n)
+	w.fOld = growSlice(w.fOld, n)
+	w.relAbs = growSlice(w.relAbs, n)
 	clear(w.relAbs)
-	w.emitted = scratch.emitted[:0]
-	w.oldIDs = scratch.oldIDs[:0]
-	w.plusOrder = scratch.plusOrder[:0]
+	w.emitted = w.emitted[:0]
+	w.carried = w.carried[:0]
 	w.maxOld = graph.NodeID(-1)
 	w.oldMakespan = 0
 	w.timeBase = 0
@@ -392,143 +393,214 @@ func (w *traceWalk) init(csr *graph.CSR, m *machine.Machine, opt *Options, gr *b
 	w.floorLog = w.floorLog[:0]
 	// A pooled Step may carry a stale suffix fingerprint from its previous
 	// owner; RunMemo re-establishes it at the first empty-suffix merge.
-	scratch.step.suffOK = false
+	w.step.suffOK = false
 }
 
 // block advances the walk by one block: newIDs are block b's nodes in
-// ascending ID order. The block is merged with the carried suffix as an
-// induced view of the trace CSR, the Step outcome's prefix is committed at
-// absolute times, and its suffix is carried into the next chop frame.
+// ascending ID order. The block is merged with the carried suffix — as the
+// bound view itself when old ∪ new covers it (every stream push), else as an
+// induced view of it — the Step outcome's prefix is committed at absolute
+// times, the lookahead's forced cut commits what k no longer covers, and the
+// rest is carried into the next chop frame.
 func (w *traceWalk) block(newIDs []graph.NodeID, b int) error {
 	if err := w.budget.Check(); err != nil {
 		return err
 	}
-	scratch := w.scratch
-	// cur = old ∪ new (ascending IDs; old and new are disjoint).
-	ids := append(scratch.ids[:0], w.oldIDs...)
-	ids = append(ids, newIDs...)
-	scratch.ids = ids
-	slices.Sort(ids)
-	scratch.sub.Init(w.csr, ids)
-	sn := scratch.sub.Len()
-
-	scratch.isOld = growSlice(scratch.isOld, sn)
-	isOld := scratch.isOld
+	old := w.carried
+	n := len(old) + len(newIDs)
+	view, dOld, fOld := w.view, w.dOld, w.fOld
+	ids := w.identity(n)
+	w.isOld = growSlice(w.isOld, n)
+	isOld := w.isOld
 	clear(isOld)
-	for _, id := range w.oldIDs {
-		isOld[scratch.sub.ToSub(id)] = true
-	}
-	if w.tiePos != nil {
-		scratch.tie = subTieInto(scratch.tie, ids, w.tiePos)
+	if n == view.N {
+		// Whole view: view IDs are walk IDs, so no induced copy, sort or
+		// carried-state gather.
+		for _, id := range old {
+			isOld[id] = true
+		}
 	} else {
-		scratch.tie = growSlice(scratch.tie, sn)
-		for i := range scratch.tie {
-			scratch.tie[i] = graph.NodeID(i)
+		// cur = old ∪ new (ascending IDs; old and new are disjoint).
+		w.ids = growSlice(w.ids, n)
+		ids = w.ids
+		copy(ids, old)
+		copy(ids[len(old):], newIDs)
+		slices.Sort(ids)
+		w.sub.Init(view, ids)
+		view = w.sub.View()
+		for _, id := range old {
+			isOld[w.sub.ToSub(id)] = true
 		}
-	}
-	scratch.dv = growSlice(scratch.dv, sn)
-	scratch.fv = growSlice(scratch.fv, sn)
-	scratch.rv = growSlice(scratch.rv, sn)
-	for si := 0; si < sn; si++ {
-		if isOld[si] {
-			scratch.dv[si] = w.dOld[ids[si]]
-			scratch.fv[si] = w.fOld[ids[si]]
-		}
-		scratch.rv[si] = w.relAbs[ids[si]] - w.timeBase
-	}
-	scratch.stepIn = StepIn{
-		View: scratch.sub.View(), M: w.m, Tie: scratch.tie, IsOld: isOld,
-		DOld: scratch.dv, FOld: scratch.fv, ROld: scratch.rv,
-		OldCount: len(w.oldIDs), OldMakespan: w.oldMakespan,
-		Block: b, SkipDelay: w.skip,
-		Tracer: w.tr, Budget: w.budget,
-	}
-	canon := w.tiePos == nil && (len(w.oldIDs) == 0 || w.maxOld < newIDs[0])
-	out, err := scratch.step.RunMemo(&scratch.stepIn, w.sc, canon)
-	if err != nil {
-		return err
-	}
-	s, d := out.S, out.D
-	for _, si := range out.Minus {
-		oi := ids[si]
-		w.emitted = append(w.emitted, oi)
-		w.absStart[oi] = s.Start[si] + w.timeBase
-		w.absUnit[oi] = s.Unit[si]
-		// The committed node's out-edges vanish from every later view;
-		// record their latency lower bounds as absolute releases on the
-		// destinations — carried nodes and nodes of blocks that have not
-		// even arrived yet alike.
-		f := w.absStart[oi] + int(w.gview.Exec[oi])
-		for ei := w.gview.Off[oi]; ei < w.gview.Off[oi+1]; ei++ {
-			if r := f + int(w.gview.Lat[ei]); r > w.relAbs[w.gview.Dst[ei]] {
-				w.relAbs[w.gview.Dst[ei]] = r
-				if w.logFloors {
-					w.floorLog = append(w.floorLog, floorWrite{dst: w.gview.Dst[ei], r: r})
-				}
+		w.dv = growSlice(w.dv, n)
+		w.fv = growSlice(w.fv, n)
+		dOld, fOld = w.dv, w.fv
+		for si, id := range ids {
+			if isOld[si] {
+				dOld[si] = w.dOld[id]
+				fOld[si] = w.fOld[id]
 			}
 		}
 	}
-	w.oldIDs = w.oldIDs[:0]
-	w.plusOrder = w.plusOrder[:0]
+	tie := w.identity(n)
+	if len(w.tiePos) != 0 {
+		w.tie = subTieInto(w.tie, ids, w.tiePos)
+		tie = w.tie
+	}
+	w.rv = growSlice(w.rv, n)
+	for si, id := range ids {
+		w.rv[si] = w.relAbs[id] - w.timeBase
+	}
+	w.stepIn = StepIn{
+		View: view, M: w.m, Tie: tie, IsOld: isOld,
+		DOld: dOld, FOld: fOld, ROld: w.rv,
+		OldCount: len(old), OldMakespan: w.oldMakespan,
+		Block: b, SkipDelay: w.skip,
+		Tracer: w.tr, Budget: w.budget,
+	}
+	canon := len(w.tiePos) == 0 && (len(old) == 0 || w.maxOld < newIDs[0])
+	out, err := w.step.RunMemo(&w.stepIn, w.sc, canon)
+	if err != nil {
+		return err
+	}
+	s := out.S
+	// Force-finalize what the lookahead no longer covers: every block that
+	// arrived k or more blocks ago must leave the suffix, so the cut extends
+	// to the last finish time of any such straggler (committing newer nodes
+	// scheduled before it — a quality concession, never a correctness one:
+	// the committed set stays a prefix of the schedule's time order, like
+	// any chop). A forced cut has no idle slot granting slack, so even
+	// 0/1-latency streams can owe a positive release floor after it.
+	cut := -1
+	if w.k != Unbounded {
+		for _, si := range out.Plus {
+			if int(view.Block[si]) <= b-w.k {
+				cut = max(cut, s.Finish(si))
+			}
+		}
+	}
+	base := max(out.Base, cut)
+	for _, si := range out.Minus {
+		w.commit(ids[si], s.Start[si], s.Unit[si])
+	}
+	w.carried = w.carried[:0]
 	w.maxOld = graph.NodeID(-1)
 	for _, si := range out.Plus {
 		oi := ids[si]
-		w.oldIDs = append(w.oldIDs, oi)
+		if s.Finish(si) <= cut {
+			w.commit(oi, s.Start[si], s.Unit[si])
+			continue
+		}
+		w.carried = append(w.carried, oi)
 		w.maxOld = max(w.maxOld, oi)
-		w.dOld[oi] = d[si] - out.Base
-		w.fOld[oi] = s.Finish(si) - out.Base
-		w.plusOrder = append(w.plusOrder, oi)
+		w.dOld[oi] = out.D[si] - base
+		w.fOld[oi] = s.Finish(si) - base
 		// Tentative placement; overwritten if a later merge reorders it.
 		w.absStart[oi] = s.Start[si] + w.timeBase
 		w.absUnit[oi] = s.Unit[si]
 	}
-	w.oldMakespan = s.Makespan() - out.Base
-	w.timeBase += out.Base
+	w.oldMakespan = s.Makespan() - base
+	w.timeBase += base
 	return nil
 }
 
-// finish returns the walk's grown buffers to the scratch for pooling.
-func (w *traceWalk) finish() {
-	w.scratch.emitted = w.emitted[:0]
-	w.scratch.oldIDs = w.oldIDs[:0]
-	w.scratch.plusOrder = w.plusOrder[:0]
+// identity returns the IDs 0, 1, …, n−1. The buffer behind it is only ever
+// extended, never rewritten, so the slice stays valid across calls.
+func (w *traceWalk) identity(n int) []graph.NodeID {
+	if len(w.iota) < n {
+		w.iota = make([]graph.NodeID, n)
+		for i := range w.iota {
+			w.iota[i] = graph.NodeID(i)
+		}
+	}
+	return w.iota[:n]
+}
+
+// commit finalizes walk node v at frame-relative start on unit. Its
+// out-edges vanish from every later view, so their latency lower bounds are
+// recorded as absolute releases on their destinations in the bound view —
+// carried nodes and, on a batch walk, nodes of blocks not walked yet alike
+// (a stream's later blocks read theirs from its finish ledger).
+func (w *traceWalk) commit(v graph.NodeID, start, unit int) {
+	w.emitted = append(w.emitted, v)
+	w.absStart[v] = start + w.timeBase
+	w.absUnit[v] = unit
+	f := w.absStart[v] + int(w.view.Exec[v])
+	for ei := w.view.Off[v]; ei < w.view.Off[v+1]; ei++ {
+		dst := w.view.Dst[ei]
+		if r := f + int(w.view.Lat[ei]); r > w.relAbs[dst] {
+			w.relAbs[dst] = r
+			if w.logFloors {
+				w.floorLog = append(w.floorLog, floorWrite{dst: dst, r: r})
+			}
+		}
+	}
+}
+
+// flush emits the carried suffix at its tentative placement — the batch
+// walk's trailing emission — and starts the next frame after it.
+func (w *traceWalk) flush() {
+	w.emitted = append(w.emitted, w.carried...)
+	w.carried = w.carried[:0]
+	w.maxOld = graph.NodeID(-1)
+	w.timeBase += w.oldMakespan
+	w.oldMakespan = 0
+}
+
+// rebind moves a stream walk onto its next live window of n nodes. remap
+// maps each previous walk ID to its new one, or −1 for a node that left the
+// window; it is ascending with remap[v] ≤ v, so the carried state moves in
+// place. The IDs past the kept nodes start with no release floor.
+func (w *traceWalk) rebind(n int, remap []int32) {
+	for v, nv := range remap {
+		if nv >= 0 {
+			w.absStart[nv], w.absUnit[nv] = w.absStart[v], w.absUnit[v]
+			w.dOld[nv], w.fOld[nv] = w.dOld[v], w.fOld[v]
+			w.relAbs[nv] = w.relAbs[v]
+		}
+	}
+	w.maxOld = graph.NodeID(-1)
+	for i, v := range w.carried {
+		w.carried[i] = graph.NodeID(remap[v])
+		w.maxOld = max(w.maxOld, w.carried[i])
+	}
+	w.absStart = growKeep(w.absStart, n)
+	w.absUnit = growKeep(w.absUnit, n)
+	w.dOld = growKeep(w.dOld, n)
+	w.fOld = growKeep(w.fOld, n)
+	w.relAbs = growKeep(w.relAbs, n)
+	clear(w.relAbs[len(w.carried):])
+	// A block commits at most its whole view: size the commit list once.
+	if cap(w.emitted) < n {
+		w.emitted = make([]graph.NodeID, 0, n)
+	}
 }
 
 // result ends a complete walk: the last carried suffix is emitted as
 // scheduled, and the placements are packaged into the Result.
 func (w *traceWalk) result(g *graph.Graph) (*Result, error) {
-	w.emitted = append(w.emitted, w.plusOrder...)
-	w.finish()
-	return assembleResult(g, w.m, w.csr, w.scratch, w.emitted, w.absStart, w.absUnit)
-}
-
-// assembleResult packages a completed walk's absolute placements and
-// emission order into a Result.
-func assembleResult(g *graph.Graph, m *machine.Machine, csr *graph.CSR,
-	scratch *laScratch, emitted []graph.NodeID, absStart, absUnit []int) (*Result, error) {
+	w.flush()
 	n := g.Len()
-	if len(emitted) != n {
-		return nil, fmt.Errorf("core: emitted %d of %d instructions", len(emitted), n)
+	if len(w.emitted) != n {
+		return nil, fmt.Errorf("core: emitted %d of %d instructions", len(w.emitted), n)
 	}
-	final := sched.New(g, m)
-	copy(final.Start, absStart)
-	copy(final.Unit, absUnit)
-	out := &Result{Order: append([]graph.NodeID(nil), emitted...), S: final}
+	final := sched.New(g, w.m)
+	copy(final.Start, w.absStart)
+	copy(final.Unit, w.absUnit)
+	out := &Result{Order: append([]graph.NodeID(nil), w.emitted...), S: final}
 	// BlockOrders: one presized map plus a single backing array carved into
 	// per-block subslices (counting pass, then append into fixed-cap
 	// windows), instead of per-block append-grown values.
+	block := w.view.Block
 	maxBlock := 0
-	for v := 0; v < n; v++ {
-		if bb := csr.Block(graph.NodeID(v)); bb > maxBlock {
-			maxBlock = bb
-		}
+	for _, bb := range block {
+		maxBlock = max(maxBlock, int(bb))
 	}
-	scratch.blockOff = growSlice(scratch.blockOff, maxBlock+1)
-	cnt := scratch.blockOff
+	w.blockOff = growSlice(w.blockOff, maxBlock+1)
+	cnt := w.blockOff
 	clear(cnt)
 	nblocks := 0
-	for _, id := range emitted {
-		bb := csr.Block(id)
+	for _, id := range w.emitted {
+		bb := block[id]
 		cnt[bb]++
 		if cnt[bb] == 1 {
 			nblocks++
@@ -544,8 +616,8 @@ func assembleResult(g *graph.Graph, m *machine.Machine, csr *graph.CSR,
 		out.BlockOrders[bb] = backing[off : off : off+cnt[bb]]
 		off += cnt[bb]
 	}
-	for _, id := range emitted {
-		bb := csr.Block(id)
+	for _, id := range w.emitted {
+		bb := int(block[id])
 		out.BlockOrders[bb] = append(out.BlockOrders[bb], id)
 	}
 	return out, nil

@@ -338,7 +338,7 @@ func chooseCuts(gr *blockGroups, nseg int) []int {
 func (w *traceWalk) runGroups(gLo, gHi int) error {
 	gr := w.groups
 	for gi := gLo; gi < gHi; gi++ {
-		if err := w.block(w.scratch.byBlock[gr.off[gi]:gr.off[gi+1]], gr.blk[gi]); err != nil {
+		if err := w.block(w.byBlock[gr.off[gi]:gr.off[gi+1]], gr.blk[gi]); err != nil {
 			return err
 		}
 	}
@@ -353,9 +353,9 @@ func (w *traceWalk) runGroups(gLo, gHi int) error {
 func (w *traceWalk) stateFP() graph.Hash128 {
 	var h graph.Hasher
 	h.Reset(specFPSeed)
-	h.Int(len(w.plusOrder))
+	h.Int(len(w.carried))
 	h.Int(w.oldMakespan)
-	for _, id := range w.plusOrder {
+	for _, id := range w.carried {
 		h.Int(int(id))
 		h.Int(w.dOld[id])
 		h.Int(w.fOld[id])
@@ -368,8 +368,7 @@ func (w *traceWalk) stateFP() graph.Hash128 {
 // [gLo, gHi) under an assumed entry state, plus the snapshot of that
 // assumption the driver verifies at the join.
 type specWorker struct {
-	walk     traceWalk
-	scratch  *laScratch
+	walk     *traceWalk // pooled; nil once released
 	gLo, gHi int
 
 	entryFP  graph.Hash128
@@ -391,8 +390,8 @@ func (wk *specWorker) run(csr *graph.CSR, m *machine.Machine, opt *Options, gr *
 			wk.err = fmt.Errorf("core: speculative segment panicked: %v", p)
 		}
 	}()
-	wk.scratch = laPool.Get().(*laScratch)
-	wk.walk.init(csr, m, opt, gr, wk.scratch)
+	wk.walk = walkPool.Get().(*traceWalk)
+	wk.walk.init(csr.View(), m, opt, gr)
 	if err := wk.walk.runGroups(max(wk.gLo-specWarmupGroups, 0), wk.gLo); err != nil {
 		wk.err = err
 		return
@@ -410,12 +409,11 @@ func (wk *specWorker) run(csr *graph.CSR, m *machine.Machine, opt *Options, gr *
 	wk.err = wk.walk.runGroups(wk.gLo, wk.gHi)
 }
 
-// release returns the worker's scratch to the pool. Only called by the
-// driver after the worker is done and its state fully consumed.
+// release returns the worker's walk to the pool. Only called by the driver
+// after the worker is done and its state fully consumed.
 func (wk *specWorker) release() {
-	wk.walk.finish()
-	laPool.Put(wk.scratch)
-	wk.scratch = nil
+	walkPool.Put(wk.walk)
+	wk.walk = nil
 }
 
 // lookaheadParallel is the speculative parallel driver: it schedules
@@ -433,7 +431,7 @@ func lookaheadParallel(g *graph.Graph, m *machine.Machine, opt Options, csr *gra
 		workers[k] = wk
 		go wk.run(csr, m, &opt, gr)
 	}
-	// Whatever happens below, every worker must finish and give its scratch
+	// Whatever happens below, every worker must finish and give its walk
 	// back before we return (they reference pooled state). The done receive
 	// orders the driver's reads after all of the worker's writes.
 	defer func() {
@@ -442,16 +440,15 @@ func lookaheadParallel(g *graph.Graph, m *machine.Machine, opt Options, csr *gra
 				continue
 			}
 			<-wk.done
-			if wk.scratch != nil {
+			if wk.walk != nil {
 				wk.release()
 			}
 		}
 	}()
 
-	scratch := laPool.Get().(*laScratch)
-	defer laPool.Put(scratch)
-	var drv traceWalk
-	drv.init(csr, m, &opt, gr, scratch)
+	drv := walkPool.Get().(*traceWalk)
+	defer walkPool.Put(drv)
+	drv.init(csr.View(), m, &opt, gr)
 	if err := drv.runGroups(plan.cuts[0], plan.cuts[1]); err != nil {
 		return nil, err
 	}
@@ -494,18 +491,17 @@ func lookaheadParallel(g *graph.Graph, m *machine.Machine, opt Options, csr *gra
 // exit state (suffix, frame base, and the step cache's carried suffix
 // fingerprint) as its own.
 func (drv *traceWalk) splice(wk *specWorker) {
-	w := &wk.walk
+	w := wk.walk
 	delta := drv.timeBase - wk.cutBase
 	for _, v := range w.emitted {
 		drv.absStart[v] = w.absStart[v] + delta
 		drv.absUnit[v] = w.absUnit[v]
 	}
 	drv.emitted = append(drv.emitted, w.emitted...)
-	drv.oldIDs = append(drv.oldIDs[:0], w.oldIDs...)
-	drv.plusOrder = append(drv.plusOrder[:0], w.plusOrder...)
+	drv.carried = append(drv.carried[:0], w.carried...)
 	drv.maxOld = w.maxOld
 	drv.oldMakespan = w.oldMakespan
-	for _, id := range w.plusOrder {
+	for _, id := range w.carried {
 		drv.dOld[id] = w.dOld[id]
 		drv.fOld[id] = w.fOld[id]
 		drv.absStart[id] = w.absStart[id] + delta
@@ -517,6 +513,6 @@ func (drv *traceWalk) splice(wk *specWorker) {
 		}
 	}
 	drv.timeBase = w.timeBase + delta
-	drv.scratch.step.suffFP = w.scratch.step.suffFP
-	drv.scratch.step.suffOK = w.scratch.step.suffOK
+	drv.step.suffFP = w.step.suffFP
+	drv.step.suffOK = w.step.suffOK
 }

@@ -14,10 +14,11 @@ import (
 
 // Step is the reusable per-block engine of Algorithm Lookahead: one
 // merge (paper Figure 7) + Delay_Idle_Slots (§3) + Chop (Figure 6) iteration
-// over an old ∪ new adjacency view. Both drivers funnel through it — the
-// batch LookaheadOpts loop and the incremental internal/stream scheduler —
-// so a streamed trace is processed by exactly the code that processes a
-// batch trace, and bit-identical results fall out by construction.
+// over an old ∪ new adjacency view. Its one caller is traceWalk.block, which
+// every driver runs — the sequential walk, the speculative parallel driver
+// and its segment workers, and Stream's pushes — so a streamed trace is
+// processed by exactly the code that processes a batch trace, and
+// bit-identical results fall out by construction.
 //
 // A Step owns its rank context (arena included) and all merge scratch;
 // Run resets the context per view, so steady-state iterations allocate only

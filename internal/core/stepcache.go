@@ -53,12 +53,12 @@ package core
 // Caching requires the view to be in canonical layout: the carried suffix
 // occupies view IDs [0, OldCount) in ascending previous-view order, the new
 // block occupies [OldCount, N), and the rank tie-break is the identity
-// permutation (program order). The streaming engine guarantees this by
-// construction; the batch driver guarantees it whenever the trace's node IDs
-// are grouped by block (every carried ID below every new ID) and no custom
-// Tie is set, and bypasses the cache otherwise. Bypassed or failed steps
-// invalidate the carried fingerprint; the next full Run recomputes it from
-// its output, so cache coverage resumes one miss later.
+// permutation (program order). The walk checks this per block: it holds
+// whenever every carried ID is below every new ID and no custom Tie is set —
+// always for a Stream's live window, and for a batch trace whose node IDs
+// are grouped by block — and bypasses the cache otherwise. Bypassed or
+// failed steps invalidate the carried fingerprint; the next full Run
+// recomputes it from its output, so cache coverage resumes one miss later.
 //
 // # Fragment and relocation
 //

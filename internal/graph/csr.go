@@ -97,36 +97,35 @@ type AdjView struct {
 	MaxLat int // max distance-0 edge latency in the view
 }
 
-// Sub is a reusable induced-subgraph view over a CSR: Init rebinds it to a
-// new node subset, reusing all backing arrays. It replaces the
+// Sub is a reusable induced-subgraph view over a parent AdjView — a
+// whole-graph CSR or any other flat view: Init rebinds it to a new node
+// subset, reusing all backing arrays. It replaces the
 // keep-map/Induced/toSub-map triple of the pre-CSR merge loop — the dense
 // toSub remap array plays the role of the map, and the filtered flat
 // adjacency plays the role of the rebuilt *Graph.
 type Sub struct {
-	csr   *CSR
-	ids   []NodeID // view ID → parent ID, ascending
-	toSub []int32  // parent ID → view ID, or -1
-	off   []int32
-	dst   []NodeID
-	lat   []int32
-	exec  []int32
-	class []int32
-	block []int32
-	lbl   []string
+	ids    []NodeID // view ID → parent ID, ascending
+	toSub  []int32  // parent ID → view ID, or -1
+	off    []int32
+	dst    []NodeID
+	lat    []int32
+	exec   []int32
+	class  []int32
+	block  []int32
+	lbl    []string
 	maxLat int
 }
 
 // Init rebinds the view to the induced subgraph of c on ids, which must be
 // ascending parent node IDs without duplicates. Views and slices obtained
 // from the Sub before this call become invalid.
-func (s *Sub) Init(c *CSR, ids []NodeID) {
-	s.csr = c
+func (s *Sub) Init(c AdjView, ids []NodeID) {
 	n := len(ids)
 	s.ids = append(s.ids[:0], ids...)
-	if cap(s.toSub) < c.n {
-		s.toSub = make([]int32, c.n)
+	if cap(s.toSub) < c.N {
+		s.toSub = make([]int32, c.N)
 	}
-	s.toSub = s.toSub[:c.n]
+	s.toSub = s.toSub[:c.N]
 	for i := range s.toSub {
 		s.toSub[i] = -1
 	}
@@ -144,12 +143,12 @@ func (s *Sub) Init(c *CSR, ids []NodeID) {
 	s.exec, s.class, s.block, s.lbl = s.exec[:n], s.class[:n], s.block[:n], s.lbl[:n]
 	edges := 0
 	for si, oi := range ids {
-		s.exec[si] = c.exec[oi]
-		s.class[si] = c.class[oi]
-		s.block[si] = c.block[oi]
-		s.lbl[si] = c.labels[oi]
-		for e := c.off[oi]; e < c.off[oi+1]; e++ {
-			if s.toSub[c.dst[e]] >= 0 {
+		s.exec[si] = c.Exec[oi]
+		s.class[si] = c.Class[oi]
+		s.block[si] = c.Block[oi]
+		s.lbl[si] = c.Labels[oi]
+		for e := c.Off[oi]; e < c.Off[oi+1]; e++ {
+			if s.toSub[c.Dst[e]] >= 0 {
 				edges++
 			}
 		}
@@ -163,15 +162,15 @@ func (s *Sub) Init(c *CSR, ids []NodeID) {
 	k := 0
 	for si, oi := range ids {
 		s.off[si] = int32(k)
-		for e := c.off[oi]; e < c.off[oi+1]; e++ {
-			d := s.toSub[c.dst[e]]
+		for e := c.Off[oi]; e < c.Off[oi+1]; e++ {
+			d := s.toSub[c.Dst[e]]
 			if d < 0 {
 				continue
 			}
 			s.dst[k] = NodeID(d)
-			s.lat[k] = c.lat[e]
-			if int(c.lat[e]) > s.maxLat {
-				s.maxLat = int(c.lat[e])
+			s.lat[k] = c.Lat[e]
+			if int(c.Lat[e]) > s.maxLat {
+				s.maxLat = int(c.Lat[e])
 			}
 			k++
 		}

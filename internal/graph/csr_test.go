@@ -97,7 +97,7 @@ func TestSubMatchesInduced(t *testing.T) {
 			}
 		}
 		h, hIDs := g.Induced(keep)
-		sub.Init(c, ids)
+		sub.Init(c.View(), ids)
 		if len(hIDs) != sub.Len() {
 			t.Fatalf("trial %d: Induced has %d nodes, Sub has %d", trial, len(hIDs), sub.Len())
 		}
@@ -148,8 +148,8 @@ func TestSubReuseAcrossInits(t *testing.T) {
 		ids = append(ids, NodeID(v))
 	}
 	var sub Sub
-	sub.Init(c, ids) // warm up capacity
-	allocs := testing.AllocsPerRun(100, func() { sub.Init(c, ids) })
+	sub.Init(c.View(), ids) // warm up capacity
+	allocs := testing.AllocsPerRun(100, func() { sub.Init(c.View(), ids) })
 	if allocs != 0 {
 		t.Fatalf("Sub.Init allocates %.1f objects/op after warm-up, want 0", allocs)
 	}

@@ -465,6 +465,9 @@ func earliestReady(g *graph.Graph, m *machine.Machine, opt Options, pos []int, i
 }
 
 func unitRange(m *machine.Machine, c machine.UnitClass) (base, count int) {
+	if c < 0 {
+		return 0, 0 // no unit runs a negative class
+	}
 	if m.SingleUnitOnly() {
 		return 0, 1
 	}

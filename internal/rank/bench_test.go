@@ -54,7 +54,7 @@ func benchMergeViews(b *testing.B) []mergeViews {
 				}
 			}
 			sub := &graph.Sub{}
-			sub.Init(csr, ids)
+			sub.Init(csr.View(), ids)
 			c := NewReusable()
 			if err := c.Reset(sub.View(), f.m, nil); err != nil {
 				b.Fatal(err)

@@ -109,7 +109,8 @@ func NewCtx(g *graph.Graph, m *machine.Machine) (*Ctx, error) {
 // induced subgraph with no standalone *Graph. The budget and aux stash
 // survive only within one binding: budget is cleared, aux is kept (it is
 // sized scratch, not graph state). Fails — leaving the context unusable
-// until the next successful Reset — if the view has a cycle.
+// until the next successful Reset — if the view has a cycle or a node with a
+// negative class (which no unit can run).
 func (c *Ctx) Reset(view graph.AdjView, m *machine.Machine, g *graph.Graph) error {
 	c.g, c.m, c.view = g, m, view
 	c.budget = nil
@@ -202,6 +203,9 @@ func (c *Ctx) Reset(view graph.AdjView, m *machine.Machine, g *graph.Graph) erro
 	single := m.SingleUnitOnly()
 	for v := 0; v < n; v++ {
 		cls := int(view.Class[v])
+		if cls < 0 {
+			return fmt.Errorf("rank: node %d (%s) has negative class %d", v, view.Labels[v], cls)
+		}
 		if single {
 			cls = 0
 		}

@@ -78,6 +78,9 @@ type ListScheduler struct {
 	// ubase/ucount cache unitBase per class present in the view.
 	ubase  []int
 	ucount []int
+	// negClass is the first node of the bound view with a negative class
+	// (no unit can run it), or -1; Run rejects such a view.
+	negClass int
 }
 
 // NewListScheduler validates that g's loop-independent subgraph is acyclic
@@ -133,9 +136,13 @@ func (ls *ListScheduler) Reset(view graph.AdjView, m *machine.Machine, g *graph.
 	}
 
 	maxClass := 0
-	for _, c := range view.Class {
+	ls.negClass = -1
+	for v, c := range view.Class {
 		if int(c) > maxClass {
 			maxClass = int(c)
+		}
+		if c < 0 && ls.negClass < 0 {
+			ls.negClass = v
 		}
 	}
 	if cap(ls.ubase) < maxClass+1 {
@@ -165,6 +172,9 @@ func (ls *ListScheduler) Run(priority []graph.NodeID) (*Schedule, error) {
 	n := ls.n
 	if len(priority) != n {
 		return nil, fmt.Errorf("sched: priority list has %d entries for %d nodes", len(priority), n)
+	}
+	if v := ls.negClass; v >= 0 {
+		return nil, fmt.Errorf("sched: node %d (%s) has negative class %d", v, ls.labels[v], ls.class[v])
 	}
 	seen := ls.seen
 	clear(seen)

@@ -149,10 +149,20 @@ func TestListScheduleClassContention(t *testing.T) {
 }
 
 func TestListScheduleNoUnitsForClass(t *testing.T) {
-	g := graph.New(1)
-	g.AddNode("x", 1, 7, 0) // class 7 does not exist on RS6000
-	if _, err := ListSchedule(g, machine.RS6000(1), SourceOrder(g)); err == nil {
-		t.Fatal("node with unexecutable class accepted")
+	cases := []struct {
+		class int
+		m     *machine.Machine
+	}{
+		{7, machine.RS6000(1)}, // class 7 does not exist on RS6000
+		{-1, machine.RS6000(1)},
+		{-1, machine.SingleUnit(1)}, // the one unit runs every class, but no negative one
+	}
+	for _, tc := range cases {
+		g := graph.New(1)
+		g.AddNode("x", 1, tc.class, 0)
+		if _, err := ListSchedule(g, tc.m, SourceOrder(g)); err == nil {
+			t.Fatalf("node with unexecutable class %d accepted on %s", tc.class, tc.m.Name)
+		}
 	}
 }
 

@@ -456,3 +456,67 @@ func TestBatchBudgetDegradesPerItem(t *testing.T) {
 		}
 	}
 }
+
+// TestNegativeClassRejected: an instruction whose class is negative names no
+// functional unit. Every entry point must reject it with an error — never an
+// index-out-of-range panic — on single-unit and multi-unit machines alike,
+// and a stream that saw one stays poisoned instead of panicking again.
+func TestNegativeClassRejected(t *testing.T) {
+	build := func() *Graph {
+		g := NewGraph(3)
+		a := g.AddNode("a", 1, 0, 0)
+		b := g.AddNode("b", 1, -1, 0)
+		c := g.AddNode("c", 1, 0, 1)
+		g.MustEdge(a, b, 1, 0)
+		g.MustEdge(b, c, 0, 0)
+		return g
+	}
+	entries := map[string]func(g *Graph, m *Machine) error{
+		"ScheduleBlock": func(g *Graph, m *Machine) error {
+			_, err := ScheduleBlock(g, m)
+			return err
+		},
+		"ScheduleTrace": func(g *Graph, m *Machine) error {
+			_, err := ScheduleTrace(g, m)
+			return err
+		},
+		"StreamScheduler.Push": func(g *Graph, m *Machine) error {
+			blocks, _, err := TraceStreamBlocks(g)
+			if err != nil {
+				return err
+			}
+			ss := NewStreamScheduler(m, StreamOptions{})
+			_, err = ss.Push(blocks[0])
+			if err == nil {
+				return nil
+			}
+			if _, again := ss.Push(blocks[1]); again == nil {
+				t.Errorf("push after a rejected block succeeded; want the stream poisoned")
+			}
+			return err
+		},
+		"SimulateTrace": func(g *Graph, m *Machine) error {
+			_, err := SimulateTrace(g, m, []NodeID{0, 1, 2})
+			return err
+		},
+	}
+	machines := map[string]*Machine{"single-w2": SingleUnit(2), "rs6000-w4": RS6000(4)}
+	for mname, m := range machines {
+		for name, run := range entries {
+			t.Run(name+"/"+mname, func(t *testing.T) {
+				var err error
+				func() {
+					defer func() {
+						if p := recover(); p != nil {
+							t.Fatalf("panicked: %v", p)
+						}
+					}()
+					err = run(build(), m)
+				}()
+				if err == nil {
+					t.Fatal("negative class accepted")
+				}
+			})
+		}
+	}
+}

@@ -55,10 +55,11 @@ if grep -nE 'map\[|sync\.(Mutex|RWMutex)|interface *\{|chan ' internal/metrics/r
 	echo "check: FAIL — internal/metrics/record.go grew a map/lock/chan/interface" >&2
 	exit 1
 fi
-echo "== stream push must stay within its allocation budget"
+echo "== stream push must stay at its exact allocation count"
 # The streaming scheduler's pitch is bounded per-push cost: the engine reuses
-# its rank context, compaction buffers, and CSR scratch, so a steady-state
-# push allocates a small constant (the escaping BlockResult plus schedules).
+# its walk, compaction buffers, and CSR scratch, so a steady-state push
+# allocates a small constant — exactly 14 on a step-cache hit (the escaping
+# BlockResult) and 31 on a miss (plus the merge/delay schedules).
 go test -run '^TestStreamPushAllocBudget$' -count=1 .
 echo "== step-cache hits must stay within their allocation budget"
 # A push that replays a cached fragment must stay far below the uncached
@@ -69,11 +70,12 @@ echo "== speculation-off trace path must stay at its exact allocation count"
 # The speculative parallel dispatch gate must cost an integer compare on the
 # default small-trace path: pinned at BENCH_PR8's exact 133 allocs/op.
 go test -run '^TestScheduleTraceAllocExactSpecOff$' -count=1 .
-echo "== speculative and step-cache results must be deterministic across runs and -cpu"
-# The same invariant CI's parallel-determinism job enforces: speculation and
-# step-cache replay are bit-identical to the sequential walk regardless of
-# GOMAXPROCS or repetition.
-go test -run 'Speculative|ParallelTrace|StepCache' -count=2 -cpu=1,4 ./...
+echo "== speculative, step-cache and stream results must be deterministic across runs and -cpu"
+# The same invariant CI's parallel-determinism job enforces: speculation,
+# step-cache replay and streaming are bit-identical to the sequential walk
+# regardless of GOMAXPROCS or repetition. Every driver runs on a pooled or
+# long-lived walk, so state leaking between calls would surface here.
+go test -run 'Speculative|ParallelTrace|StepCache|Stream' -count=2 -cpu=1,4 ./...
 echo "== benchsnap -compare BENCH_PR12.json"
 go run ./cmd/benchsnap -compare BENCH_PR12.json
 echo "check: OK"

@@ -220,7 +220,8 @@ func TestStepCacheHitAllocBudget(t *testing.T) {
 
 // FuzzStepCache: for arbitrary decoded multi-block restricted instances, the
 // streamed schedule is bit-identical with the step cache on and off at every
-// lookahead. Bytes beyond the instance choose k.
+// lookahead, and at unbounded lookahead bit-identical to ScheduleTrace. Bytes
+// beyond the instance choose k.
 func FuzzStepCache(f *testing.F) {
 	f.Add([]byte{0, 5, 0, 1, 0, 1, 0, 0x80, 2, 1, 3}, byte(0))
 	f.Add([]byte{3, 9, 0, 1, 1, 0, 1, 0, 1, 0, 0, 1, 5, 0x82, 7}, byte(1))
@@ -234,7 +235,7 @@ func FuzzStepCache(f *testing.F) {
 		if k == 2 {
 			k = LookaheadUnbounded
 		}
-		blocks, _, err := TraceStreamBlocks(g)
+		blocks, nums, err := TraceStreamBlocks(g)
 		if err != nil {
 			return // decoded instance not streamable (never the case, but safe)
 		}
@@ -266,6 +267,25 @@ func FuzzStepCache(f *testing.F) {
 				fmt.Sprint(r.Start) != fmt.Sprint(w.Start) ||
 				fmt.Sprint(r.Unit) != fmt.Sprint(w.Unit) {
 				t.Fatalf("k=%d result %d: cached %+v, uncached %+v", k, i, r, w)
+			}
+		}
+		if k != LookaheadUnbounded {
+			return
+		}
+		batch, err := ScheduleTrace(g, m)
+		if err != nil {
+			t.Fatalf("ScheduleTrace: %v", err)
+		}
+		for _, r := range got {
+			want := batch.BlockOrders[nums[r.Block]]
+			if fmt.Sprint(r.Order) != fmt.Sprint(want) {
+				t.Fatalf("block %d: streamed order %v, batch %v", r.Block, r.Order, want)
+			}
+			for i, id := range r.Order {
+				if r.Start[i] != batch.S.Start[id] || r.Unit[i] != batch.S.Unit[id] {
+					t.Fatalf("block %d node %d: streamed (%d,%d), batch (%d,%d)", r.Block, id,
+						r.Start[i], r.Unit[i], batch.S.Start[id], batch.S.Unit[id])
+				}
 			}
 		}
 	})

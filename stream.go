@@ -1,9 +1,9 @@
 package aisched
 
 // Streaming facade: schedule a trace block by block as it arrives, instead
-// of materializing the whole dependence graph first. Each Push runs one
-// merge + Delay_Idle_Slots + chop step (the same core engine as
-// ScheduleTrace) against only the carried suffix, so the first block's
+// of materializing the whole dependence graph first. Each Push is one step
+// of the walk ScheduleTrace runs per block (merge + Delay_Idle_Slots + chop)
+// over only the carried suffix and the pushed block, so the first block's
 // schedule is available after one push — O(block) time-to-first-schedule —
 // and memory stays bounded by the suffix plus the lookahead window.
 //
