@@ -43,17 +43,13 @@ import (
 type CacheCounters = memo.Counters
 
 // SchedulerOptions configures a Scheduler. The zero value gives the
-// defaults: a 4096-entry 16-way-sharded cache and GOMAXPROCS batch workers.
+// defaults: 4096-entry schedule and step caches and GOMAXPROCS batch
+// workers. Both caches also have a fixed 64 MiB resident-byte backstop
+// (memo.MaxBytes) over 16 lock shards.
 type SchedulerOptions struct {
 	// CacheCapacity is the total cached-result budget (0 = default 4096).
 	// Negative disables caching entirely: every call recomputes.
 	CacheCapacity int
-	// CacheShards is the number of cache lock shards (0 = default 16;
-	// rounded up to a power of two, minimum 16).
-	CacheShards int
-	// CacheMaxBytes bounds the schedule cache's approximate resident bytes
-	// (0 = default 64 MiB; negative = entry-count bound only).
-	CacheMaxBytes int
 	// StepCacheCapacity is the structural step cache's fragment budget
 	// (0 = default 4096; negative disables it). The step cache memoizes
 	// individual merge/chop iterations inside ScheduleTrace keyed by
@@ -61,9 +57,6 @@ type SchedulerOptions struct {
 	// even across traces the whole-trace cache has never seen. Results are
 	// bit-identical either way.
 	StepCacheCapacity int
-	// StepCacheMaxBytes bounds the step cache's approximate resident bytes
-	// (0 = default 64 MiB; negative = fragment-count bound only).
-	StepCacheMaxBytes int
 	// Workers bounds ScheduleBatch's worker pool (0 = GOMAXPROCS).
 	Workers int
 	// ParallelTrace selects the speculative parallel trace path inside
@@ -102,21 +95,13 @@ func NewScheduler(opt SchedulerOptions) *Scheduler {
 	s := &Scheduler{workers: opt.Workers, parallel: opt.ParallelTrace,
 		budget: opt.Budget, tracer: opt.Tracer}
 	if opt.CacheCapacity >= 0 {
-		s.cache = memo.New(memo.Config{
-			Capacity: opt.CacheCapacity,
-			MaxBytes: opt.CacheMaxBytes,
-			Shards:   opt.CacheShards,
-			Tracer:   opt.Tracer,
-		})
+		s.cache = memo.New(memo.Config{Capacity: opt.CacheCapacity, Tracer: opt.Tracer})
 	}
 	if opt.StepCacheCapacity >= 0 {
 		// One step cache shared by every batch worker: fragments are
 		// immutable once stored and each worker replays into its own
 		// pooled Step scratch.
-		s.stepCache = core.NewStepCache(core.StepCacheConfig{
-			Capacity: opt.StepCacheCapacity,
-			MaxBytes: opt.StepCacheMaxBytes,
-		})
+		s.stepCache = core.NewStepCache(core.StepCacheConfig{Capacity: opt.StepCacheCapacity})
 	}
 	return s
 }
@@ -173,6 +158,47 @@ func scheduleBlockFused(g *Graph, m *Machine, bs *sbudget.State) (*Schedule, err
 	return s, err
 }
 
+// request runs one Scheduler request: compute under the request's budget,
+// through the schedule cache when it is on. Cached values are stored
+// detached — sched(v).G/M cleared, so the cache never retains a caller's
+// graph — and every hit is returned as a clone rebound to g and m. A budget
+// exhaustion degrades to fallback outside the cache: the compute returned an
+// error, which is never stored, so degraded results are never cached.
+func request[T interface{ Clone() T }](sc *Scheduler, ctx context.Context, kind memo.Kind, g *Graph, m *Machine,
+	compute func(*sbudget.State) (T, error), sched func(T) *Schedule,
+	fallback func(*Graph, *Machine, string) (T, error)) (T, error) {
+	bs := sc.newBudget(ctx)
+	var out T
+	var err error
+	if sc.cache == nil {
+		out, err = compute(bs)
+	} else {
+		var v any
+		v, _, err = sc.cache.DoCtx(ctx, memo.KeyFor(g, m, kind), func() (any, error) {
+			r, err := compute(bs)
+			if err != nil {
+				return nil, err
+			}
+			s := sched(r)
+			s.G, s.M = nil, nil
+			return r, nil
+		})
+		if err == nil {
+			out = v.(T).Clone()
+			s := sched(out)
+			s.G, s.M = g, m
+		}
+	}
+	if err == nil {
+		return out, nil
+	}
+	if reason := sc.degradeReason(err); reason != "" {
+		return fallback(g, m, reason)
+	}
+	var zero T
+	return zero, err
+}
+
 // ScheduleBlock is the memoized equivalent of the package-level
 // ScheduleBlock.
 func (sc *Scheduler) ScheduleBlock(g *Graph, m *Machine) (*Schedule, error) {
@@ -184,36 +210,9 @@ func (sc *Scheduler) ScheduleBlock(g *Graph, m *Machine) (*Schedule, error) {
 // fallback schedule tagged Degraded (never an error).
 func (sc *Scheduler) ScheduleBlockCtx(ctx context.Context, g *Graph, m *Machine) (*Schedule, error) {
 	defer observeRequest(mReqBlockNS, time.Now())
-	bs := sc.newBudget(ctx)
-	if sc.cache == nil {
-		s, err := scheduleBlockFused(g, m, bs)
-		if err == nil {
-			return s, nil
-		}
-		if reason := sc.degradeReason(err); reason != "" {
-			return sc.fallbackBlock(g, m, reason)
-		}
-		return nil, err
-	}
-	v, _, err := sc.cache.DoCtx(ctx, memo.KeyFor(g, m, memo.KindBlock), func() (any, error) {
-		s, err := scheduleBlockFused(g, m, bs)
-		if err != nil {
-			return nil, err
-		}
-		s.G, s.M = nil, nil // detach: the cache must not retain caller graphs
-		return s, nil
-	})
-	if err != nil {
-		// Degraded results never enter the cache: the compute returned an
-		// error (never stored) and the fallback runs outside the cache.
-		if reason := sc.degradeReason(err); reason != "" {
-			return sc.fallbackBlock(g, m, reason)
-		}
-		return nil, err
-	}
-	out := v.(*Schedule).Clone()
-	out.G, out.M = g, m
-	return out, nil
+	return request(sc, ctx, memo.KindBlock, g, m,
+		func(bs *sbudget.State) (*Schedule, error) { return scheduleBlockFused(g, m, bs) },
+		func(s *Schedule) *Schedule { return s }, sc.fallbackBlock)
 }
 
 // ScheduleTrace is the memoized equivalent of the package-level
@@ -227,34 +226,9 @@ func (sc *Scheduler) ScheduleTrace(g *Graph, m *Machine) (*TraceResult, error) {
 // fallback trace result tagged Degraded (never an error).
 func (sc *Scheduler) ScheduleTraceCtx(ctx context.Context, g *Graph, m *Machine) (*TraceResult, error) {
 	defer observeRequest(mReqTraceNS, time.Now())
-	bs := sc.newBudget(ctx)
-	if sc.cache == nil {
-		r, err := core.LookaheadOpts(g, m, core.Options{Budget: bs, StepCache: sc.stepCache, Parallel: sc.parallel})
-		if err == nil {
-			return r, nil
-		}
-		if reason := sc.degradeReason(err); reason != "" {
-			return sc.fallbackTrace(g, m, reason)
-		}
-		return nil, err
-	}
-	v, _, err := sc.cache.DoCtx(ctx, memo.KeyFor(g, m, memo.KindTrace), func() (any, error) {
-		r, err := core.LookaheadOpts(g, m, core.Options{Budget: bs, StepCache: sc.stepCache, Parallel: sc.parallel})
-		if err != nil {
-			return nil, err
-		}
-		r.S.G, r.S.M = nil, nil
-		return r, nil
-	})
-	if err != nil {
-		if reason := sc.degradeReason(err); reason != "" {
-			return sc.fallbackTrace(g, m, reason)
-		}
-		return nil, err
-	}
-	out := v.(*TraceResult).Clone()
-	out.S.G, out.S.M = g, m
-	return out, nil
+	return request(sc, ctx, memo.KindTrace, g, m, func(bs *sbudget.State) (*TraceResult, error) {
+		return core.LookaheadOpts(g, m, core.Options{Budget: bs, StepCache: sc.stepCache, Parallel: sc.parallel})
+	}, func(r *TraceResult) *Schedule { return r.S }, sc.fallbackTrace)
 }
 
 // ScheduleLoop is the memoized equivalent of the package-level ScheduleLoop.
@@ -267,34 +241,9 @@ func (sc *Scheduler) ScheduleLoop(g *Graph, m *Machine) (*LoopSteady, error) {
 // fallback steady state tagged Degraded (never an error).
 func (sc *Scheduler) ScheduleLoopCtx(ctx context.Context, g *Graph, m *Machine) (*LoopSteady, error) {
 	defer observeRequest(mReqLoopNS, time.Now())
-	bs := sc.newBudget(ctx)
-	if sc.cache == nil {
-		st, err := loops.ScheduleLoopOpts(g, m, loops.Opts{Budget: bs})
-		if err == nil {
-			return st, nil
-		}
-		if reason := sc.degradeReason(err); reason != "" {
-			return sc.fallbackLoop(g, m, reason)
-		}
-		return nil, err
-	}
-	v, _, err := sc.cache.DoCtx(ctx, memo.KeyFor(g, m, memo.KindLoop), func() (any, error) {
-		st, err := loops.ScheduleLoopOpts(g, m, loops.Opts{Budget: bs})
-		if err != nil {
-			return nil, err
-		}
-		st.S.G, st.S.M = nil, nil
-		return st, nil
-	})
-	if err != nil {
-		if reason := sc.degradeReason(err); reason != "" {
-			return sc.fallbackLoop(g, m, reason)
-		}
-		return nil, err
-	}
-	out := v.(*LoopSteady).Clone()
-	out.S.G, out.S.M = g, m
-	return out, nil
+	return request(sc, ctx, memo.KindLoop, g, m, func(bs *sbudget.State) (*LoopSteady, error) {
+		return loops.ScheduleLoopOpts(g, m, loops.Opts{Budget: bs})
+	}, func(st *LoopSteady) *Schedule { return st.S }, sc.fallbackLoop)
 }
 
 // BatchKind selects which scheduler a BatchItem runs.

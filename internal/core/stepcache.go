@@ -112,16 +112,11 @@ var emptySuffixFP = func() graph.Hash128 {
 }()
 
 // StepCacheConfig sizes a StepCache. The zero value picks the memo layer's
-// defaults (4096 fragments, 64 MiB, 16 shards).
+// default budget of 4096 fragments.
 type StepCacheConfig struct {
-	// Capacity is the total fragment budget (0 = default; the cache is
-	// byte-bounded too, see MaxBytes).
+	// Capacity is the total fragment budget (0 = default). The memo layer's
+	// fixed memo.MaxBytes backstop bounds resident fragment bytes too.
 	Capacity int
-	// MaxBytes bounds approximate resident fragment bytes (0 = default
-	// 64 MiB, negative = unbounded).
-	MaxBytes int
-	// Shards is the lock-shard count (0 = default 16).
-	Shards int
 }
 
 // StepCache memoizes Step.Run outcomes as relocatable fragments. Safe for
@@ -134,12 +129,7 @@ type StepCache struct {
 
 // NewStepCache builds a step cache.
 func NewStepCache(cfg StepCacheConfig) *StepCache {
-	return &StepCache{c: memo.New(memo.Config{
-		Capacity: cfg.Capacity,
-		MaxBytes: cfg.MaxBytes,
-		Shards:   cfg.Shards,
-		Metrics:  memo.StepMetrics,
-	})}
+	return &StepCache{c: memo.New(memo.Config{Capacity: cfg.Capacity, Metrics: memo.StepMetrics})}
 }
 
 // Counters returns the cache's activity counters.
@@ -168,7 +158,7 @@ type stepFrag struct {
 	suffFP   graph.Hash128 // successor suffix fingerprint, carried on a hit
 }
 
-// ApproxBytes implements memo.Sizer for the byte-bounded LRU.
+// ApproxBytes implements memo.Sizer for the LRU's byte backstop.
 func (f *stepFrag) ApproxBytes() int {
 	return 96 + 4*(len(f.start)+len(f.unit)+len(f.d)+len(f.minus)+len(f.plus))
 }

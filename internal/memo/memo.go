@@ -6,10 +6,10 @@
 //
 // Concurrency design:
 //
-//   - The key space is partitioned into ≥16 power-of-two shards, each with
-//     its own mutex, LRU list, and counters, so concurrent lookups of
-//     different blocks never contend on one lock. SHA-256 fingerprints are
-//     uniform, so the shard index is just the key's low 64 bits masked.
+//   - The key space is partitioned into 16 shards, each with its own mutex,
+//     LRU list, and counters, so concurrent lookups of different blocks
+//     never contend on one lock. SHA-256 fingerprints are uniform, so the
+//     shard index is just the key's low 64 bits modulo 16.
 //   - Each shard carries a singleflight table: when a lookup misses while
 //     another goroutine is already computing the same key, the latecomer
 //     waits for that in-flight computation instead of duplicating it
@@ -106,23 +106,13 @@ func KeyFor(g *graph.Graph, m *machine.Machine, kind Kind) Key {
 	return Key{FP: g.Fingerprint(m.Units, m.Window), Kind: kind}
 }
 
-// Config sizes a Cache. The zero value picks the defaults.
+// Config configures a Cache. The zero value picks the defaults.
 type Config struct {
 	// Capacity is the total entry budget across all shards (default 4096).
 	// It is split evenly per shard, so the effective bound is approximate:
 	// a pathological key distribution can evict earlier on a hot shard.
+	// The fixed MaxBytes backstop applies on top of it.
 	Capacity int
-	// MaxBytes bounds the approximate resident bytes of cached values across
-	// all shards (default 64 MiB, split evenly per shard; negative disables
-	// the byte bound). Entry count alone is a poor bound when values vary
-	// widely in size — a step fragment for a 6-node block and one for a
-	// 200-node suffix differ by 30× — so eviction applies whichever bound
-	// trips first. Values that implement Sizer report their own footprint;
-	// others are charged a fixed conservative estimate.
-	MaxBytes int
-	// Shards is the number of lock shards, rounded up to a power of two and
-	// clamped to at least 16.
-	Shards int
 	// Tracer, when non-nil, receives KindCacheHit / KindCacheMiss /
 	// KindCacheEvict / KindCacheCoalesce events for the metrics snapshot.
 	Tracer obs.Tracer
@@ -132,7 +122,7 @@ type Config struct {
 }
 
 // Sizer lets a cached value report its approximate resident footprint in
-// bytes for the MaxBytes bound. The estimate should cover the value's
+// bytes for the MaxBytes backstop. The estimate should cover the value's
 // backing arrays; exactness is not required — the bound itself is
 // approximate (per-shard split, map overhead estimated).
 type Sizer interface {
@@ -142,15 +132,22 @@ type Sizer interface {
 // DefaultCapacity is the entry budget used when Config.Capacity is zero.
 const DefaultCapacity = 4096
 
-// DefaultMaxBytes is the resident-byte budget used when Config.MaxBytes is
-// zero.
-const DefaultMaxBytes = 64 << 20
+// MaxBytes is the fixed backstop on the approximate resident bytes of cached
+// values, split evenly per shard. The entry budget is what evicts at every
+// measured workload; the backstop exists because entry count alone does not
+// bound memory when values vary widely in size — a long-trace result is tens
+// of KB, a step fragment for a 6-node block a few hundred bytes — so
+// eviction applies whichever bound trips first. Values that implement Sizer
+// report their own footprint; others are charged a fixed conservative
+// estimate.
+const MaxBytes = 64 << 20
+
+// numShards is the number of lock shards.
+const numShards = 16
 
 // entryOverhead is the charged per-entry bookkeeping estimate: the entry
 // struct, its map bucket share, and the key copy.
 const entryOverhead = 176
-
-const minShards = 16
 
 // Counters is a point-in-time snapshot of the cache's activity, summed over
 // shards. Hits + Misses + Coalesced equals the number of Do calls.
@@ -195,8 +192,6 @@ type flight struct {
 
 type shard struct {
 	mu       sync.Mutex
-	capacity int
-	byteCap  int // ≤0 means unbounded
 	bytes    int
 	entries  map[Key]*entry
 	lru      entry // sentinel: lru.next is MRU, lru.prev is LRU
@@ -208,10 +203,10 @@ type shard struct {
 // Cache is a sharded bounded LRU with singleflight deduplication. Safe for
 // concurrent use. The zero value is not useful; use New.
 type Cache struct {
-	shards []shard
-	mask   uint64
-	tracer obs.Tracer
-	met    *MetricSet
+	shards   [numShards]shard
+	perShard int // entry budget of each shard
+	tracer   obs.Tracer
+	met      *MetricSet
 }
 
 // New builds a cache from cfg (zero-value fields take defaults).
@@ -220,36 +215,13 @@ func New(cfg Config) *Cache {
 	if capTotal <= 0 {
 		capTotal = DefaultCapacity
 	}
-	byteTotal := cfg.MaxBytes
-	if byteTotal == 0 {
-		byteTotal = DefaultMaxBytes
-	}
-	n := cfg.Shards
-	if n < minShards {
-		n = minShards
-	}
-	// Round up to a power of two so shard selection is a mask.
-	for n&(n-1) != 0 {
-		n &= n - 1
-		n <<= 1
-	}
-	perShard := (capTotal + n - 1) / n
-	if perShard < 1 {
-		perShard = 1
-	}
-	bytesPerShard := 0
-	if byteTotal > 0 {
-		bytesPerShard = (byteTotal + n - 1) / n
-	}
 	met := cfg.Metrics
 	if met == nil {
 		met = ScheduleMetrics
 	}
-	c := &Cache{shards: make([]shard, n), mask: uint64(n - 1), tracer: cfg.Tracer, met: met}
+	c := &Cache{perShard: (capTotal + numShards - 1) / numShards, tracer: cfg.Tracer, met: met}
 	for i := range c.shards {
 		s := &c.shards[i]
-		s.capacity = perShard
-		s.byteCap = bytesPerShard
 		s.entries = make(map[Key]*entry)
 		s.inflight = make(map[Key]*flight)
 		s.lru.next = &s.lru
@@ -259,7 +231,7 @@ func New(cfg Config) *Cache {
 }
 
 func (c *Cache) shardFor(k Key) *shard {
-	return &c.shards[binary.LittleEndian.Uint64(k.FP[:8])&c.mask]
+	return &c.shards[binary.LittleEndian.Uint64(k.FP[:8])%numShards]
 }
 
 func (c *Cache) emit(kind obs.Kind) {
@@ -335,7 +307,7 @@ func (c *Cache) DoCtx(ctx context.Context, k Key, compute func() (any, error)) (
 		if err != nil {
 			return nil, false, err
 		}
-		c.store(s, k, v)
+		c.store(s, k, v, false)
 		return v, false, nil
 	}
 	f := &flight{done: make(chan struct{})}
@@ -347,14 +319,18 @@ func (c *Cache) DoCtx(ctx context.Context, k Key, compute func() (any, error)) (
 
 	f.val, f.err = runCompute(compute)
 
-	s.mu.Lock()
-	delete(s.inflight, k)
-	s.mu.Unlock()
-	close(f.done)
+	// Publish the value and retire the flight in one lock hold, so a lookup
+	// always finds the entry, the flight, or both — never neither, which
+	// would recompute a key whose value is about to land.
 	if f.err != nil {
+		s.mu.Lock()
+		delete(s.inflight, k)
+		s.mu.Unlock()
+		close(f.done)
 		return nil, false, f.err
 	}
-	c.store(s, k, f.val)
+	c.store(s, k, f.val, true)
+	close(f.done)
 	return f.val, false, nil
 }
 
@@ -379,13 +355,17 @@ func runCompute(compute func() (any, error)) (v any, err error) {
 }
 
 // store inserts v under k (refreshing the entry if a concurrent recompute
-// beat us to it) and applies both LRU bounds — entry count and approximate
-// resident bytes — emitting eviction events. The just-inserted entry is never
-// its own victim: a value larger than a whole shard's byte budget still
-// caches (as the shard's only resident), it just evicts everything else.
-func (c *Cache) store(s *shard, k Key, v any) {
+// beat us to it) and applies both LRU bounds — the entry budget and the
+// MaxBytes backstop — emitting eviction events; retire also removes k's
+// flight in the same lock hold. The just-inserted entry is never its own
+// victim: a value larger than a whole shard's byte share still caches (as
+// the shard's only resident), it just evicts everything else.
+func (c *Cache) store(s *shard, k Key, v any, retire bool) {
 	nb := valBytes(v)
 	s.mu.Lock()
+	if retire {
+		delete(s.inflight, k)
+	}
 	if e, ok := s.entries[k]; ok {
 		delta := nb - e.bytes
 		e.val = v
@@ -402,8 +382,7 @@ func (c *Cache) store(s *shard, k Key, v any) {
 	s.bytes += nb
 	e.pushMRU(&s.lru)
 	evicted, freed := 0, 0
-	for (len(s.entries) > s.capacity || (s.byteCap > 0 && s.bytes > s.byteCap)) &&
-		len(s.entries) > 1 {
+	for (len(s.entries) > c.perShard || s.bytes > MaxBytes/numShards) && len(s.entries) > 1 {
 		victim := s.lru.prev
 		victim.unlink()
 		delete(s.entries, victim.key)
@@ -450,7 +429,7 @@ func (c *Cache) Get(k Key) (any, bool) {
 // bounds. Concurrent Puts of the same key are safe (last writer's value
 // stays resident); values must be immutable once stored.
 func (c *Cache) Put(k Key, v any) {
-	c.store(c.shardFor(k), k, v)
+	c.store(c.shardFor(k), k, v, false)
 }
 
 // Len returns the number of resident entries across all shards.
@@ -480,18 +459,6 @@ func (c *Cache) Counters() Counters {
 		s.mu.Unlock()
 	}
 	return t
-}
-
-// Bytes reports the approximate resident value bytes across all shards.
-func (c *Cache) Bytes() int64 {
-	var n int64
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		n += int64(s.bytes)
-		s.mu.Unlock()
-	}
-	return n
 }
 
 // Release drops every resident entry and returns their bytes to the metric

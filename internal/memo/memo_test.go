@@ -15,7 +15,7 @@ import (
 )
 
 // key builds a Key pinned to shard `shard` (the shard index is the low 64
-// bits of the fingerprint, masked), distinguished by serial.
+// bits of the fingerprint modulo numShards), distinguished by serial.
 func key(shard byte, serial int) Key {
 	var k Key
 	k.FP[0] = shard
@@ -52,7 +52,7 @@ func TestDoHitMiss(t *testing.T) {
 func TestLRUEviction(t *testing.T) {
 	// Capacity 32 over 16 shards = 2 entries per shard. Pin three keys to
 	// shard 5: inserting the third must evict the least recently used.
-	c := New(Config{Capacity: 32, Shards: 16})
+	c := New(Config{Capacity: 32})
 	mk := func(i int) Key { return key(5, i) }
 	get := func(i int) (any, bool) {
 		v, hit, err := c.Do(mk(i), func() (any, error) { return i, nil })
@@ -202,7 +202,7 @@ func TestKeyForDistinguishesMachineAndKind(t *testing.T) {
 // all interleave. Run under -race (make check does) to validate the locking.
 func TestCacheRaceHammer(t *testing.T) {
 	rec := obs.NewRecorder()
-	c := New(Config{Capacity: 48, Shards: 16, Tracer: rec})
+	c := New(Config{Capacity: 48, Tracer: rec})
 	const (
 		workers = 8
 		ops     = 400
@@ -285,4 +285,102 @@ func TestGetPutSameKeyRace(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+}
+
+// blockingValue is a cached value whose ApproxBytes blocks until release is
+// closed. store sizes a value before it takes the shard lock, so a leader
+// caching one is paused between its compute and the value's publication.
+type blockingValue struct {
+	sizing  chan struct{}
+	release chan struct{}
+	once    sync.Once
+}
+
+func (b *blockingValue) ApproxBytes() int {
+	b.once.Do(func() { close(b.sizing) })
+	<-b.release
+	return 0
+}
+
+// TestPublishWindow pins that a lookup arriving after the leader's compute
+// but before its value is resident joins the leader's flight instead of
+// recomputing: the flight retires in the same lock hold that publishes the
+// value, so at every instant a lookup sees the value, the flight, or both.
+func TestPublishWindow(t *testing.T) {
+	c := New(Config{})
+	k := key(4, 1)
+	v := &blockingValue{sizing: make(chan struct{}), release: make(chan struct{})}
+	leader := make(chan struct{})
+	go func() {
+		defer close(leader)
+		if _, _, err := c.Do(k, func() (any, error) { return v, nil }); err != nil {
+			t.Errorf("leader: %v", err)
+		}
+	}()
+	<-v.sizing // the leader has computed and is now publishing
+
+	var recomputed atomic.Bool
+	second := make(chan any, 1)
+	go func() {
+		got, _, err := c.Do(k, func() (any, error) {
+			recomputed.Store(true)
+			return "recomputed", nil
+		})
+		if err != nil {
+			t.Errorf("second Do: %v", err)
+		}
+		second <- got
+	}()
+	// Release the leader only once the second lookup has been counted.
+	for ct := c.Counters(); ct.Hits+ct.Misses+ct.Coalesced < 2; ct = c.Counters() {
+		runtime.Gosched()
+	}
+	close(v.release)
+	got := <-second
+	<-leader
+	if recomputed.Load() {
+		t.Fatalf("second Do recomputed a key whose value was being published; counters %+v", c.Counters())
+	}
+	if got != v {
+		t.Fatalf("second Do returned %v, want the leader's value", got)
+	}
+}
+
+// sized is a cached value that reports a fixed footprint.
+type sized int
+
+func (s sized) ApproxBytes() int { return int(s) }
+
+// TestByteBackstop pins the fixed resident-byte bound: each shard holds at
+// most MaxBytes/numShards (4 MiB) of values, whatever the entry budget says.
+func TestByteBackstop(t *testing.T) {
+	const share = MaxBytes / numShards
+	if share != 4<<20 {
+		t.Fatalf("per-shard byte share = %d, want 4 MiB", share)
+	}
+	c := New(Config{})
+	c.Put(key(6, 1), sized(3<<20))
+	c.Put(key(6, 2), sized(3<<20)) // 6 MiB on one shard: the first goes
+	if _, ok := c.Get(key(6, 1)); ok {
+		t.Fatal("first 3 MiB value still resident past the shard's 4 MiB share")
+	}
+	if _, ok := c.Get(key(6, 2)); !ok {
+		t.Fatal("second 3 MiB value missing")
+	}
+	if got := c.Counters(); got.Evictions != 1 || got.Bytes != 3<<20+entryOverhead {
+		t.Fatalf("after two 3 MiB values: counters %+v", got)
+	}
+
+	// A value larger than the whole share still caches, as its shard's only
+	// resident: it evicts everything else but never itself.
+	c.Put(key(6, 3), sized(5<<20))
+	if _, ok := c.Get(key(6, 3)); !ok {
+		t.Fatal("5 MiB value was not cached")
+	}
+	if c.Len() != 1 {
+		t.Fatalf("Len = %d, want the oversized value alone", c.Len())
+	}
+	if got := c.Counters(); got.Evictions != 2 || got.Bytes != 5<<20+entryOverhead {
+		t.Fatalf("after the 5 MiB value: counters %+v", got)
+	}
 }

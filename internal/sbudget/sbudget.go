@@ -54,7 +54,7 @@ func (s *State) exhaust(reason string) error {
 // exhausted wraps ErrExhausted with the specific limit that fired.
 type exhausted struct{ reason string }
 
-func (e *exhausted) Error() string { return "scheduling budget exhausted: " + e.reason }
+func (e *exhausted) Error() string        { return "scheduling budget exhausted: " + e.reason }
 func (e *exhausted) Is(target error) bool { return target == ErrExhausted }
 
 // Reason extracts the human-readable exhaustion reason from an error

@@ -8,10 +8,20 @@ cd "$(dirname "$0")/.."
 
 echo "== go build ./..."
 go build ./...
+echo "== gofmt"
+# git ls-files keeps the benchmark's build directory out of the scan.
+unformatted=$(gofmt -l $(git ls-files '*.go'))
+if [ -n "$unformatted" ]; then
+	echo "check: FAIL — gofmt needed on:" >&2
+	echo "$unformatted" >&2
+	exit 1
+fi
 echo "== go vet ./..."
 go vet ./...
 echo "== go test ./..."
 go test ./...
+echo "== benchmark module: go vet + go test (bench/ is its own module)"
+(cd bench && go vet . && go test .)
 echo "== go test -race ./..."
 go test -race ./...
 echo "== fuzz smoke (10s per target)"

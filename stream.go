@@ -92,9 +92,6 @@ type StreamOptions struct {
 	// block shapes replay in O(block); results are bit-identical either
 	// way. Close releases the cache's resident bytes.
 	StepCacheCapacity int
-	// StepCacheMaxBytes bounds the step cache's approximate resident bytes
-	// (0 = default 64 MiB; negative = fragment-count bound only).
-	StepCacheMaxBytes int
 }
 
 // StreamScheduler schedules a trace incrementally. Safe for concurrent use;
@@ -117,10 +114,7 @@ func NewStreamScheduler(m *Machine, opt StreamOptions) *StreamScheduler {
 		onResult: opt.OnResult,
 	}
 	if opt.StepCacheCapacity >= 0 {
-		ss.stepCache = core.NewStepCache(core.StepCacheConfig{
-			Capacity: opt.StepCacheCapacity,
-			MaxBytes: opt.StepCacheMaxBytes,
-		})
+		ss.stepCache = core.NewStepCache(core.StepCacheConfig{Capacity: opt.StepCacheCapacity})
 	}
 	ss.eng = stream.New(m, stream.Options{
 		Lookahead: opt.Lookahead,
