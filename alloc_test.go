@@ -48,10 +48,10 @@ func TestScheduleTraceAllocBudget(t *testing.T) {
 
 // TestScheduleTraceAllocExactSpecOff pins the default trace path — which
 // stays sequential on this workload, since six blocks are far below the
-// speculative parallel path's auto threshold — at BENCH_PR8's exact 133
-// allocs/op. The parallel dispatch gate must cost an integer compare, not
-// an allocation: any drift here means speculation leaked into the small-
-// trace hot path.
+// speculative parallel path's auto threshold — at exactly 121 allocs/op.
+// The parallel dispatch gate must cost an integer compare, not an
+// allocation: any drift here means speculation leaked into the small-trace
+// hot path.
 func TestScheduleTraceAllocExactSpecOff(t *testing.T) {
 	testutil.SkipIfAllocSensitive(t)
 	g, err := workload.Trace(rand.New(rand.NewSource(11)), workload.DefaultTrace())
@@ -64,14 +64,14 @@ func TestScheduleTraceAllocExactSpecOff(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	const exact = 133
+	const exact = 121
 	allocs := testing.AllocsPerRun(10, func() {
 		if _, err := ScheduleTrace(g, m); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if int(allocs) != exact {
-		t.Fatalf("ScheduleTrace: %.0f allocs/op, want exactly %d (BENCH_PR8 baseline)", allocs, exact)
+		t.Fatalf("ScheduleTrace: %.0f allocs/op, want exactly %d", allocs, exact)
 	}
 }
 

@@ -24,8 +24,8 @@
 // and the parallel speedup is printed as a non-gated diagnostic line
 // (auto vs off on the 256-block trace, with the speculation hit rate).
 //
-//	go run ./cmd/benchsnap -o BENCH_PR12.json
-//	go run ./cmd/benchsnap -compare BENCH_PR12.json
+//	go run ./cmd/benchsnap -o BENCH_PR16.json
+//	go run ./cmd/benchsnap -compare BENCH_PR16.json
 //
 // A snapshot also records the host it was taken on: NumCPU, GOMAXPROCS and
 // the noise floor (the widest ns/op spread across one benchmark's runs).
@@ -106,7 +106,7 @@ func (h host) String() string {
 }
 
 func main() {
-	out := flag.String("o", "BENCH_PR12.json", "output file (ignored with -compare)")
+	out := flag.String("o", "BENCH_PR16.json", "output file (ignored with -compare)")
 	compare := flag.String("compare", "", "compare against this snapshot instead of writing one")
 	tol := flag.Float64("tol", 2.0, "regression budget in percent for -compare")
 	noisefloor := flag.Float64("noisefloor", 25.0, "minimum ns/op tolerance in percent (wall-clock noise on shared hardware)")

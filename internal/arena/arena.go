@@ -61,19 +61,22 @@ func (s *Slab[T]) Alloc(n int) []T {
 func (s *Slab[T]) Reset() { s.cur, s.off = 0, 0 }
 
 // Arena bundles the slabs the scheduling engine needs: plain ints
-// (deadlines, ranks, positions), node IDs (orders, lists, members), and
-// bitset words (descendant closures, changed masks).
+// (deadlines, ranks, positions), compact int32s (cached path lengths), node
+// IDs (orders, lists, members), and bitset words (descendant closures,
+// changed masks).
 type Arena struct {
-	Ints  Slab[int]
-	IDs   Slab[graph.NodeID]
-	Words Slab[uint64]
-	Bools Slab[bool]
+	Ints   Slab[int]
+	Int32s Slab[int32]
+	IDs    Slab[graph.NodeID]
+	Words  Slab[uint64]
+	Bools  Slab[bool]
 }
 
 // Reset resets every slab. All regions handed out since the previous Reset
 // become invalid.
 func (a *Arena) Reset() {
 	a.Ints.Reset()
+	a.Int32s.Reset()
 	a.IDs.Reset()
 	a.Words.Reset()
 	a.Bools.Reset()

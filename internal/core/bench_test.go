@@ -1,0 +1,112 @@
+package core
+
+import (
+	"math/rand"
+	"slices"
+	"testing"
+
+	"aisched/internal/graph"
+	"aisched/internal/machine"
+	"aisched/internal/obs"
+	"aisched/internal/workload"
+)
+
+// Layer benchmark for one Algorithm Lookahead step: merge with its
+// loosening rounds, Delay_Idle_Slots and chop. The inputs are the StepIn
+// values a sequential walk hands to Step over trace-cold-shaped traces, so
+// ns/op divided by the step count is the per-block step cost.
+
+// stepCapture is a Tracer that snapshots the walk's step input at the merge
+// event of every block. Step never writes to its input, so at that point
+// w.stepIn still holds exactly what Run was given.
+type stepCapture struct {
+	w   *traceWalk
+	ins []StepIn
+}
+
+func (c *stepCapture) Emit(e obs.Event) {
+	if e.Kind == obs.KindMerge {
+		c.ins = append(c.ins, cloneStepIn(c.w.stepIn))
+	}
+}
+
+// cloneStepIn deep-copies in, dropping its tracer and budget.
+func cloneStepIn(in StepIn) StepIn {
+	v := in.View
+	v.Off, v.Dst, v.Lat = slices.Clone(v.Off), slices.Clone(v.Dst), slices.Clone(v.Lat)
+	v.Exec, v.Class = slices.Clone(v.Exec), slices.Clone(v.Class)
+	v.Block, v.Labels = slices.Clone(v.Block), slices.Clone(v.Labels)
+	in.View = v
+	in.Tie = slices.Clone(in.Tie)
+	in.IsOld = slices.Clone(in.IsOld)
+	in.DOld, in.FOld, in.ROld = slices.Clone(in.DOld), slices.Clone(in.FOld), slices.Clone(in.ROld)
+	in.Tracer, in.Budget = nil, nil
+	return in
+}
+
+// captureSteps walks g block by block and returns every step input.
+func captureSteps(tb testing.TB, g *graph.Graph, m *machine.Machine) []StepIn {
+	tb.Helper()
+	var w traceWalk
+	capt := &stepCapture{w: &w}
+	csr := graph.NewCSR(g)
+	w.init(csr.View(), m, &Options{Tracer: capt}, nil)
+	n := g.Len()
+	slices.SortStableFunc(w.byBlock, func(a, b graph.NodeID) int { return csr.Block(a) - csr.Block(b) })
+	for lo := 0; lo < n; {
+		hi, b := lo, csr.Block(w.byBlock[lo])
+		for hi < n && csr.Block(w.byBlock[hi]) == b {
+			hi++
+		}
+		if err := w.block(w.byBlock[lo:hi], b); err != nil {
+			tb.Fatal(err)
+		}
+		lo = hi
+	}
+	return capt.ins
+}
+
+// traceColdSteps is a fixed trace-cold-shaped step sequence: eight traces
+// in the benchmark workload's four rotating shapes (latency-bound blocks,
+// dense restricted-model blocks, 16-block traces, three-class RS/6000
+// blocks with two-cycle instructions).
+func traceColdSteps(tb testing.TB) ([]StepIn, int) {
+	tb.Helper()
+	var ins []StepIn
+	insts := 0
+	for i := 0; i < 8; i++ {
+		cfg, m := workload.DefaultTrace(), machine.SingleUnit(4)
+		switch i % 4 {
+		case 1:
+			cfg = workload.DenseTrace()
+		case 2:
+			cfg.Blocks = 16
+		case 3:
+			cfg.Classes, cfg.MaxExec, m = 3, 2, machine.RS6000(4)
+		}
+		g, err := workload.Trace(rand.New(rand.NewSource(int64(1<<24+i))), cfg)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		ins = append(ins, captureSteps(tb, g, m)...)
+		insts += g.Len()
+	}
+	return ins, insts
+}
+
+// BenchmarkStepRun measures Step.Run over the fixed trace-cold-shaped step
+// sequence: every op runs each captured step once on one reused Step.
+func BenchmarkStepRun(b *testing.B) {
+	ins, _ := traceColdSteps(b)
+	var st Step
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for k := range ins {
+			if _, err := st.Run(&ins[k]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(len(ins)), "steps/op")
+}

@@ -77,17 +77,6 @@ func growKeep[T any](buf []T, n int) []T {
 	return buf[:n]
 }
 
-// growBits returns a zeroed n-bit bitset, reusing b's backing when possible.
-func growBits(b graph.Bitset, n int) graph.Bitset {
-	w := (n + 63) / 64
-	if cap(b) < w {
-		return make(graph.Bitset, w)
-	}
-	b = b[:w]
-	clear(b)
-	return b
-}
-
 // Options tunes Algorithm Lookahead.
 type Options struct {
 	// Tie is the rank tie-break order in original node IDs (nil = program

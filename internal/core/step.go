@@ -26,11 +26,8 @@ import (
 type Step struct {
 	rc *rank.Ctx
 
-	d           []int
-	ranks       []int
-	rel         []int
-	newMask     graph.Bitset
-	changedMask graph.Bitset
+	d   []int
+	rel []int
 
 	chop chopScratch
 
@@ -116,7 +113,8 @@ func (st *Step) Run(in *StepIn) (StepOut, error) {
 	// One rank context per view: the merge re-ranks, every loosening round
 	// and the whole Delay_Idle_Slots pass share its cached topo order,
 	// descendant closure and scratch — and the context itself (arena
-	// included) is recycled across blocks, calls and pushes.
+	// included) is recycled across blocks, calls and pushes. Every re-rank
+	// is a Refresh from the deadlines the context last ranked for.
 	if err := rc.Reset(view, in.M, nil); err != nil {
 		return StepOut{}, err
 	}
@@ -144,9 +142,8 @@ func (st *Step) Run(in *StepIn) (StepOut, error) {
 	for i := range d {
 		d[i] = rank.Big
 	}
-	st.ranks = growSlice(st.ranks, sn)
-	ranks := st.ranks
-	if err := rc.ComputeInto(ranks, d); err != nil {
+	ranks, err := rc.Refresh(d)
+	if err != nil {
 		return StepOut{}, err
 	}
 	res0, err := rc.RunRanks(ranks, d, in.Tie)
@@ -156,8 +153,6 @@ func (st *Step) Run(in *StepIn) (StepOut, error) {
 	t := res0.S.Makespan()
 	// Deadline assignment: old confined to its standalone makespan (or its
 	// previously committed tighter deadline), new bounded by T.
-	st.newMask = growBits(st.newMask, sn)
-	newMask := st.newMask
 	for si := 0; si < sn; si++ {
 		if in.IsOld[si] {
 			d[si] = in.DOld[si]
@@ -166,10 +161,9 @@ func (st *Step) Run(in *StepIn) (StepOut, error) {
 			}
 		} else {
 			d[si] = t
-			newMask.Set(si)
 		}
 	}
-	s, err := st.mergeRounds(in, d, ranks, newMask, false)
+	s, err := st.mergeRounds(in, d, false)
 	if err != nil {
 		return StepOut{}, err
 	}
@@ -217,7 +211,7 @@ func (st *Step) Run(in *StepIn) (StepOut, error) {
 				d[si] = t
 			}
 		}
-		s2, err := st.mergeRounds(in, d, ranks, newMask, true)
+		s2, err := st.mergeRounds(in, d, true)
 		if err != nil {
 			return StepOut{}, err
 		}
@@ -248,11 +242,12 @@ func (st *Step) Run(in *StepIn) (StepOut, error) {
 // the deadline-loosening loop and the §4.2 heuristic fallback, returning the
 // best schedule found. repin is set on the repair path, which reports itself
 // through the single KindMergePin event instead of per-round loosen events.
-func (st *Step) mergeRounds(in *StepIn, d, ranks []int, newMask graph.Bitset, repin bool) (*sched.Schedule, error) {
+func (st *Step) mergeRounds(in *StepIn, d []int, repin bool) (*sched.Schedule, error) {
 	rc := st.rc
 	view := in.View
 	sn := view.N
-	if err := rc.ComputeInto(ranks, d); err != nil {
+	ranks, err := rc.Refresh(d)
+	if err != nil {
 		return nil, err
 	}
 	res, err := rc.RunRanks(ranks, d, in.Tie)
@@ -274,9 +269,12 @@ func (st *Step) mergeRounds(in *StepIn, d, ranks []int, newMask graph.Bitset, re
 				d[si]++
 			}
 		}
-		// Only the new nodes' deadlines moved: re-rank them and their
-		// ancestors instead of the whole subgraph.
-		rc.Update(ranks, d, newMask)
+		// Only the new nodes' deadlines moved, all by one: the new nodes'
+		// ranks shift, and only the old nodes above them are recomputed.
+		// An unchanged priority list reuses the previous schedule.
+		if ranks, err = rc.Refresh(d); err != nil {
+			return nil, err
+		}
 		res, err = rc.RunRanks(ranks, d, in.Tie)
 		if err != nil {
 			return nil, err
@@ -288,22 +286,20 @@ func (st *Step) mergeRounds(in *StepIn, d, ranks []int, newMask graph.Bitset, re
 	// paper guarantees a feasible schedule exists (old followed by new);
 	// rather than abort, sync every deadline to the achieved finish time so
 	// the pipeline proceeds with the best schedule found.
-	st.changedMask = growBits(st.changedMask, sn)
-	changedMask := st.changedMask
 	for tries := 0; !res.Feasible && tries < 30; tries++ {
-		clear(changedMask)
 		changed := false
 		for si := 0; si < sn; si++ {
 			if f := res.S.Finish(graph.NodeID(si)); f > d[si] {
 				d[si] = f
-				changedMask.Set(si)
 				changed = true
 			}
 		}
 		if !changed {
 			break
 		}
-		rc.Update(ranks, d, changedMask)
+		if ranks, err = rc.Refresh(d); err != nil {
+			return nil, err
+		}
 		res, err = rc.RunRanks(ranks, d, in.Tie)
 		if err != nil {
 			return nil, err

@@ -15,14 +15,18 @@
 // heuristic of §4.2.
 //
 // The pass is the engine's hottest loop — every slot demotion re-runs the
-// Rank Algorithm — so it is built on a shared rank.Ctx: the graph analysis
-// is done once per pass, each demotion re-ranks only the demoted node's
-// ancestors (rank.Ctx.Update), the refill test and the reschedule share one
-// rank computation, and per-unit timelines index tail nodes and idle slots
+// Rank Algorithm — so it is built on a shared rank.Ctx. The graph analysis
+// is done once per pass. Every re-rank goes through rank.Ctx.Refresh, which
+// starts from the deadlines the context last ranked for: a demotion
+// re-ranks only the demoted node's ancestors, and the first demotion of a
+// slot starts from the previous slot's ranks (or the merge's) instead of a
+// full pass. The refill test and the reschedule share one rank
+// computation, and a reschedule whose priority list did not change reuses
+// the previous schedule. Per-unit timelines index tail nodes and idle slots
 // instead of rescanning the schedule. The pass's own scratch — tentative
-// deadlines, rank buffer, three rotating unit timelines — is stashed on the
-// context (rank.Ctx.Aux) so repeated passes over one context allocate
-// nothing beyond the schedules themselves. ReferenceMoveIdleSlot and
+// deadlines and three rotating unit timelines — is stashed on the context
+// (rank.Ctx.Aux) so repeated passes over one context allocate nothing
+// beyond the schedules themselves. ReferenceMoveIdleSlot and
 // ReferenceDelayIdleSlots retain the naive implementation for differential
 // tests.
 package idle
@@ -128,14 +132,13 @@ func slotOrdinal(slots []int, t int) int {
 }
 
 // delayScratch is the pass scratch stashed on a rank context (Aux): the
-// tentative deadline buffer, the rank buffer, and three unit timelines — the
-// caller-visible one plus two candidates the engine alternates between, so
-// the timeline of the input schedule (needed intact by the failure path) is
-// never clobbered.
+// tentative deadline buffer and three unit timelines — the caller-visible
+// one plus two candidates the engine alternates between, so the timeline of
+// the input schedule (needed intact by the failure path) is never
+// clobbered.
 type delayScratch struct {
-	dd    []int
-	ranks []int
-	tls   [3]unitTimeline
+	dd  []int
+	tls [3]unitTimeline
 }
 
 // scratchFor returns the context's delay scratch, creating and stashing it
@@ -189,8 +192,8 @@ func MoveIdleSlotT(s *sched.Schedule, m *machine.Machine, d []int, unit, t int, 
 }
 
 // moveIdleSlot is the engine behind MoveIdleSlotT: it reuses the shared rank
-// context, keeps ranks incrementally updated across demotions (only the
-// demoted tail's ancestors are re-ranked), shares the rank computation
+// context, re-ranks incrementally with rank.Ctx.Refresh (a demotion
+// re-ranks only the demoted tail's ancestors), shares the rank computation
 // between the refill test and the reschedule, and accepts/returns the unit
 // timeline of the input/result schedule so Delay_Idle_Slots never rebuilds
 // one it already has. All timelines live in the context's delay scratch; a
@@ -238,9 +241,6 @@ func moveIdleSlot(c *rank.Ctx, s *sched.Schedule, d []int, unit, t int, tie []gr
 
 	cur, curTL := s, tl
 	oldMakespan := s.Makespan()
-	st.ranks = grow(st.ranks, n)
-	ranks := st.ranks
-	ranked := false
 	for iter := 0; iter < n*maxInner; iter++ {
 		// The tail node a_i: finishes exactly at the slot start on this unit.
 		tail := curTL.tail(t)
@@ -260,15 +260,11 @@ func moveIdleSlot(c *rank.Ctx, s *sched.Schedule, d []int, unit, t int, tie []gr
 		}
 		dd[tail] = newDeadline
 
-		if !ranked {
-			if err := c.ComputeInto(ranks, dd); err != nil {
-				return moveOutcome{}, nil, err
-			}
-			ranked = true
-		} else {
-			// Only dd[tail] changed since the previous iteration's ranks:
-			// re-rank just the tail and its ancestors.
-			c.UpdateOne(ranks, dd, tail)
+		// The context re-ranks from the deadlines it last ranked for: the
+		// previous demotion, the previous slot, or the merge.
+		ranks, err := c.Refresh(dd)
+		if err != nil {
+			return moveOutcome{}, nil, err
 		}
 		// Failure test of Figure 4: some pre-slot node must still be allowed
 		// to complete at t, otherwise the vacated slot cannot be refilled.

@@ -73,7 +73,7 @@ func benchMergeViews(b *testing.B) []mergeViews {
 	return out
 }
 
-// BenchmarkCtxCompute measures the rank pass alone (Ctx.ComputeInto).
+// BenchmarkCtxCompute measures the full rank pass alone (Ctx.ComputeInto).
 func BenchmarkCtxCompute(b *testing.B) {
 	for _, mv := range benchMergeViews(b) {
 		b.Run(mv.name, func(b *testing.B) {
@@ -91,13 +91,16 @@ func BenchmarkCtxCompute(b *testing.B) {
 
 // BenchmarkCtxRunRanks measures the greedy list-scheduling half of rank_alg
 // (Ctx.RunRanks on precomputed ranks): list build, list scheduler and the
-// deadline check.
+// deadline check. Every call would otherwise reuse the schedule of the
+// identical list it ran before, so each one first drops it with
+// SetRelease(nil).
 func BenchmarkCtxRunRanks(b *testing.B) {
 	for _, mv := range benchMergeViews(b) {
 		b.Run(mv.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				for k, c := range mv.ctxs {
+					c.SetRelease(nil)
 					if _, err := c.RunRanks(mv.ranks[k], mv.d[k], nil); err != nil {
 						b.Fatal(err)
 					}

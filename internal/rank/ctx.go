@@ -2,6 +2,7 @@ package rank
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 
@@ -29,8 +30,16 @@ import (
 // re-rank; merge loosens the new nodes' deadlines by one per round), and the
 // lookahead merge loop additionally re-analyses a fresh induced subgraph per
 // block — with a Reset-able Ctx both layers pay zero steady-state
-// allocations for the analysis. Update makes re-ranks incremental: only the
-// changed nodes and their ancestors are recomputed.
+// allocations for the analysis.
+//
+// Refresh makes re-ranks incremental. The context remembers the deadlines
+// its ranks were last computed for, and a re-rank touches only what moved:
+// a node whose deadline and whole descendant closure are unchanged keeps its
+// rank, and a node whose deadline and whole closure moved by one common δ
+// shifts its rank by δ (the packing order and every placement are
+// translation-invariant, so rank = min(d, B) moves exactly by δ). Every
+// other node is recomputed. RunRanks in turn reuses its last schedule when
+// the priority list has not changed.
 //
 // A Ctx is not safe for concurrent use; create one per goroutine.
 type Ctx struct {
@@ -48,13 +57,33 @@ type Ctx struct {
 	class    []int // effective unit class per node (0 on single-unit machines)
 	unitsFor []int // usable units per effective class (0 mapped to 1)
 
+	// lats[v][i] is delta(v, members[v][i]), the deadline-independent
+	// longest path from v's completion to that member's start; filled in
+	// by the binding's first rankNode(v), which sets latDone.
+	lats    [][]int32
+	latDone graph.Bitset
+
+	// Refresh state: ranks holds the ranks under trD, the deadlines they
+	// were computed for, once ranked is set; moved is the per-node shift
+	// scratch.
+	ranks  []int
+	trD    []int
+	moved  []int
+	ranked bool
+
+	// RunRanks state: lastS is the schedule of priority list lastList, or
+	// nil when there is none for this binding and release vector.
+	lastS    *sched.Schedule
+	lastList []graph.NodeID
+
 	// Scratch, reused across calls.
 	delta  []int          // longest path finish(v)⇝start(u) per descendant
+	keys   []uint64       // packed sort keys of the node being ranked
 	ds     []descendant   // packing entries for the node being ranked
 	occ    [][]int        // per-class occupancy window for rankOf
+	occHW  []int          // per-class end of the occupancy rankOf touched
 	pos    []int          // tie-position scratch for list building
 	list   []graph.NodeID // priority-list scratch
-	oneBit graph.Bitset   // single-node changed set for UpdateOne
 	source []graph.NodeID // cached default tie order (program order)
 
 	// budget, when non-nil, is charged one pass (and consulted as a
@@ -80,7 +109,12 @@ func (c *Ctx) SetBudget(b *sbudget.State) { c.budget = b }
 // (see sched.ListScheduler.SetRelease): every RunRanks of this binding — the
 // merge rounds and the whole Delay_Idle_Slots pass alike — floors each node's
 // start at its release. Cleared by Reset; the slice is retained, not copied.
-func (c *Ctx) SetRelease(rel []int) { c.ls.SetRelease(rel) }
+// It drops the schedule RunRanks remembers, since the same list may now
+// schedule differently.
+func (c *Ctx) SetRelease(rel []int) {
+	c.ls.SetRelease(rel)
+	c.lastS = nil
+}
 
 // Aux returns the scratch value stashed by SetAux, or nil.
 func (c *Ctx) Aux() any { return c.aux }
@@ -94,7 +128,7 @@ func NewReusable() *Ctx { return &Ctx{} }
 
 // NewCtx analyses g once (topological order, descendant closure, per-node
 // descendant lists, unit-class mapping) and returns a context whose Compute,
-// Update and RunRanks reuse that analysis. Fails if the loop-independent
+// Refresh and RunRanks reuse that analysis. Fails if the loop-independent
 // subgraph is cyclic.
 func NewCtx(g *graph.Graph, m *machine.Machine) (*Ctx, error) {
 	c := NewReusable()
@@ -108,13 +142,16 @@ func NewCtx(g *graph.Graph, m *machine.Machine) (*Ctx, error) {
 // analysis into the context's arena. g may be nil when the view is an
 // induced subgraph with no standalone *Graph. The budget and aux stash
 // survive only within one binding: budget is cleared, aux is kept (it is
-// sized scratch, not graph state). Fails — leaving the context unusable
+// sized scratch, not graph state). Refresh's remembered ranks and RunRanks'
+// remembered schedule are cleared. Fails — leaving the context unusable
 // until the next successful Reset — if the view has a cycle or a node with a
 // negative class (which no unit can run).
 func (c *Ctx) Reset(view graph.AdjView, m *machine.Machine, g *graph.Graph) error {
 	c.g, c.m, c.view = g, m, view
 	c.budget = nil
 	c.source = nil
+	c.ranked = false
+	c.lastS = nil
 	c.ar.Reset()
 	n := view.N
 
@@ -123,10 +160,14 @@ func (c *Ctx) Reset(view graph.AdjView, m *machine.Machine, g *graph.Graph) erro
 	c.delta = ints.Alloc(n)
 	c.pos = ints.Alloc(n)
 	c.class = ints.Alloc(n)
+	c.ranks = ints.Alloc(n)
+	c.trD = ints.Alloc(n)
+	c.moved = ints.Alloc(n)
 	ids := &c.ar.IDs
 	c.order = ids.Alloc(n)
 	c.list = ids.Alloc(n)
-	c.oneBit = c.ar.Bitset(n)
+	c.lastList = ids.Alloc(n)
+	c.latDone = c.ar.Bitset(n)
 	c.desc = c.ar.BitsetRows(c.desc, n)
 
 	// Topological sort over the flat adjacency (same sorted-insert frontier
@@ -184,10 +225,13 @@ func (c *Ctx) Reset(view graph.AdjView, m *machine.Machine, g *graph.Graph) erro
 		total += c.desc[v].Count()
 	}
 	backing := ids.Alloc(total)
+	latBacking := c.ar.Int32s.Alloc(total)
 	if cap(c.members) < n {
 		c.members = make([][]graph.NodeID, n)
+		c.lats = make([][]int32, n)
 	}
 	c.members = c.members[:n]
+	c.lats = c.lats[:n]
 	k := 0
 	for v := 0; v < n; v++ {
 		start := k
@@ -197,6 +241,7 @@ func (c *Ctx) Reset(view graph.AdjView, m *machine.Machine, g *graph.Graph) erro
 		// and any sorting algorithm yields the same deterministic order.
 		slices.SortFunc(mem, func(a, b graph.NodeID) int { return c.topoPos[a] - c.topoPos[b] })
 		c.members[v] = mem
+		c.lats[v] = latBacking[start:k:k]
 	}
 
 	maxClass := 0
@@ -229,6 +274,7 @@ func (c *Ctx) Reset(view graph.AdjView, m *machine.Machine, g *graph.Graph) erro
 	// the header grows, and it never shrinks so grown rows stay reusable.
 	for len(c.occ) <= maxClass {
 		c.occ = append(c.occ, nil)
+		c.occHW = append(c.occHW, 0)
 	}
 
 	c.ls.Reset(view, m, g)
@@ -259,9 +305,9 @@ func (c *Ctx) View() graph.AdjView { return c.view }
 
 // Compute returns rank(v) for every node under deadlines d (see the
 // package-level Compute for the definition). The returned slice is freshly
-// allocated and owned by the caller; feed it back to Update for incremental
-// re-ranking and to RunRanks for scheduling. ComputeInto is the
-// allocation-free variant.
+// allocated and owned by the caller; feed it to RunRanks for scheduling.
+// ComputeInto is the allocation-free variant, and Refresh the incremental
+// one.
 func (c *Ctx) Compute(d []int) ([]int, error) {
 	ranks := make([]int, c.view.N)
 	if err := c.ComputeInto(ranks, d); err != nil {
@@ -290,49 +336,94 @@ func (c *Ctx) ComputeInto(ranks, d []int) error {
 	return nil
 }
 
-// Update incrementally re-establishes ranks in place after the deadlines of
-// the nodes in changed were modified: ranks must hold the output of a
-// previous Compute/Update against a deadline vector differing from d only on
-// changed nodes. rank(v) depends solely on d[v] and the ranks of v's
-// descendants, so only changed nodes and their ancestors can change; Update
-// recomputes exactly that topological suffix (typically a small fraction of
-// the graph for the single-deadline demotions of Move_Idle_Slot).
-func (c *Ctx) Update(ranks, d []int, changed graph.Bitset) {
-	hi := -1
-	changed.ForEach(func(u int) {
-		if p := c.topoPos[u]; p > hi {
-			hi = p
+// notUniform marks a node in Refresh whose closure did not move by one
+// common amount.
+const notUniform = math.MinInt
+
+// Refresh returns rank(v) for every node under deadlines d, re-ranking
+// incrementally from the deadlines of the binding's previous Refresh; the
+// first call on a binding runs the full pass. The returned slice is owned
+// by the context and valid until the next Refresh or Reset.
+//
+// rank(v) depends only on d(v) and the ranks of v's descendants, so the
+// walk goes over the topological order in reverse and keeps moved[v], the
+// change to the ranks of v and all of its descendants: 0 when none changed,
+// δ when all moved by δ, and notUniform otherwise. A node whose deadline
+// moved by δ and whose every direct successor has moved = δ keeps its
+// packing order and placements, so its rank shifts by exactly δ (δ = 0:
+// it is skipped). Every other node is recomputed.
+func (c *Ctx) Refresh(d []int) ([]int, error) {
+	n := c.view.N
+	if len(d) != n {
+		return nil, fmt.Errorf("rank: %d deadlines for %d nodes", len(d), n)
+	}
+	ranks, trD := c.ranks, c.trD
+	if !c.ranked {
+		if err := c.ComputeInto(ranks, d); err != nil {
+			return nil, err
 		}
-	})
-	for i := hi; i >= 0; i-- {
+		copy(trD, d)
+		c.ranked = true
+		return ranks, nil
+	}
+	view := &c.view
+	moved := c.moved
+	for i := n - 1; i >= 0; i-- {
 		v := c.order[i]
-		if changed.Has(int(v)) || c.desc[v].Intersects(changed) {
-			c.rankNode(v, d, ranks)
+		dd := d[v] - trD[v]
+		lo, hi := view.Off[v], view.Off[v+1]
+		if lo == hi {
+			ranks[v] = d[v]
+			moved[v] = dd
+			continue
+		}
+		succ := moved[view.Dst[lo]]
+		for _, u := range view.Dst[lo+1 : hi] {
+			if moved[u] != succ {
+				succ = notUniform
+				break
+			}
+		}
+		if succ == dd {
+			ranks[v] += dd
+			moved[v] = dd
+			continue
+		}
+		old := ranks[v]
+		c.rankNode(v, d, ranks)
+		if succ == notUniform || ranks[v]-old != succ {
+			moved[v] = notUniform
+		} else {
+			moved[v] = succ
 		}
 	}
-}
-
-// UpdateOne is Update for a single changed node.
-func (c *Ctx) UpdateOne(ranks, d []int, v graph.NodeID) {
-	c.oneBit.Set(int(v))
-	c.Update(ranks, d, c.oneBit)
-	c.oneBit.Clear(int(v))
+	copy(trD, d)
+	return ranks, nil
 }
 
 // rankNode recomputes ranks[v] from d[v] and the current ranks of v's
 // descendants: the per-ancestor step of the Compute sweep.
 func (c *Ctx) rankNode(v graph.NodeID, d, ranks []int) {
-	mem := c.members[v]
-	if len(mem) == 0 {
+	if len(c.members[v]) == 0 {
 		ranks[v] = d[v]
 		return
 	}
+	ranks[v] = c.rankOf(c.sortedDescendants(v, ranks), d[v])
+}
+
+// memberLats returns lats[v], computing it on the binding's first call for
+// v: delta(u) = max over distance-0 in-edges (p → u) with p ∈ {v} ∪
+// descendants(v) of (0 if p==v else delta(p)+exec(p)) + latency, evaluated
+// over the members in topological order. The view only holds distance-0
+// edges, so no distance filtering is needed.
+func (c *Ctx) memberLats(v graph.NodeID) []int32 {
+	lats := c.lats[v]
+	if c.latDone.Has(int(v)) {
+		return lats
+	}
+	mem := c.members[v]
 	view := &c.view
 	delta := c.delta
-	// delta(u) = max over distance-0 in-edges (p → u) with p ∈ {v} ∪
-	// descendants(v) of (0 if p==v else delta(p)+exec(p)) + latency.
-	// Evaluated in global topological order restricted to descendants. The
-	// view only holds distance-0 edges, so no distance filtering is needed.
 	for _, u := range mem {
 		delta[u] = -1
 	}
@@ -356,22 +447,61 @@ func (c *Ctx) rankNode(v graph.NodeID, d, ranks []int) {
 			}
 		}
 	}
+	for i, u := range mem {
+		lats[i] = int32(delta[u])
+	}
+	c.latDone.Set(int(v))
+	return lats
+}
+
+// Packed sort key layout: (rank − min rank) << keyRankShift | (max lat −
+// lat) << keyLatShift | member index. Members are in topological order, so
+// ascending keys are exactly compareDescendants' order.
+const (
+	keyRankShift = 40
+	keyLatShift  = 20
+	keyIdxMask   = 1<<keyLatShift - 1
+)
+
+// sortedDescendants returns v's packing entries sorted by
+// compareDescendants, valid until the next call. It sorts packed uint64 keys
+// when every field fits and falls back to the comparator otherwise.
+func (c *Ctx) sortedDescendants(v graph.NodeID, ranks []int) []descendant {
+	mem, lats := c.members[v], c.memberLats(v)
+	minR, maxR := ranks[mem[0]], ranks[mem[0]]
+	minL, maxL := lats[0], lats[0]
+	for i, u := range mem {
+		minR, maxR = min(minR, ranks[u]), max(maxR, ranks[u])
+		minL, maxL = min(minL, lats[i]), max(maxL, lats[i])
+	}
 	ds := c.ds[:0]
-	for _, u := range mem {
-		ds = append(ds, descendant{
-			rank:  ranks[u],
-			exec:  int(view.Exec[u]),
-			class: c.class[u],
-			lat:   delta[u],
-			pos:   c.topoPos[u],
-		})
+	if len(mem) <= keyIdxMask && maxR-minR < 1<<(64-keyRankShift) && int(maxL-minL) <= keyIdxMask {
+		keys := c.keys[:0]
+		for i, u := range mem {
+			keys = append(keys, uint64(ranks[u]-minR)<<keyRankShift|uint64(maxL-lats[i])<<keyLatShift|uint64(i))
+		}
+		slices.Sort(keys)
+		c.keys = keys[:0]
+		for _, k := range keys {
+			i := int(k & keyIdxMask)
+			ds = append(ds, c.entry(mem[i], lats[i], ranks))
+		}
+	} else {
+		for i, u := range mem {
+			ds = append(ds, c.entry(u, lats[i], ranks))
+		}
+		// EDF exactness wants nondecreasing rank order; break ties by
+		// release (latency) then topological position so the order is a
+		// deterministic total order shared with the reference.
+		slices.SortFunc(ds, compareDescendants)
 	}
 	c.ds = ds[:0] // keep the (possibly grown) backing array
-	// EDF exactness wants nondecreasing rank order; break ties by release
-	// (latency) then topological position so the order is a deterministic
-	// total order shared with the reference implementation.
-	slices.SortFunc(ds, compareDescendants)
-	ranks[v] = c.rankOf(ds, d[v])
+	return ds
+}
+
+// entry is the packing entry of descendant u at path length lat.
+func (c *Ctx) entry(u graph.NodeID, lat int32, ranks []int) descendant {
+	return descendant{rank: ranks[u], exec: int(c.view.Exec[u]), class: c.class[u], lat: int(lat), pos: c.topoPos[u]}
 }
 
 // compareDescendants orders packing entries by nondecreasing rank, ties by
@@ -394,12 +524,14 @@ func compareDescendants(a, b descendant) int {
 // ≥ at + lat on its class pool — and takes the latest at for which each one
 // still finishes by its rank: B = min over u of rank(u) − (start(u) − at) −
 // exec(u). Occupancy is tracked in per-class slice windows indexed by
-// t − at + 1 (the +1 absorbs a defensive −1 release), reused and cleared
-// across calls. Because the indexing is relative to at, the placement does
-// not depend on at; at enters only the per-descendant deadline test. So the
-// packing is feasible for exactly the completion times at ≤ B, and one pass
-// yields min(dv, B), which is what the reference binary search over at finds
-// with a packing per probe (referencePackFeasible). That search is confined
+// t − at + 1 (the +1 absorbs a defensive −1 release), reused across calls:
+// each call clears only the prefix it touched (occHW), so one large node
+// does not make every later small rankOf clear its whole window. Because
+// the indexing is relative to at, the placement does not depend on at; at
+// enters only the per-descendant deadline test. So the packing is feasible
+// for exactly the completion times at ≤ B, and one pass yields min(dv, B),
+// which is what the reference binary search over at finds with a packing
+// per probe (referencePackFeasible). That search is confined
 // to [lo, hi], hi = min(dv, min over u of rank(u) − exec(u) − lat(u)),
 // lo = hi − 2(total + maxLat + 2), and neither end binds: B stays below the
 // per-descendant part of hi because start(u) − at ≥ lat(u), and above lo
@@ -416,9 +548,6 @@ func (c *Ctx) rankOf(ds []descendant, dv int) int {
 	// Earliest-fit never places past lat + sum(exec), so this window bounds
 	// every occupancy index the packing can touch.
 	window := total + maxLat + maxExec + 4
-	for cls := range c.occ {
-		clear(c.occ[cls])
-	}
 	for _, u := range ds {
 		if len(c.occ[u.class]) < window {
 			c.occ[u.class] = make([]int, window)
@@ -444,10 +573,16 @@ func (c *Ctx) rankOf(ds []descendant, dv int) int {
 			break
 		}
 		rank = min(rank, u.rank-(start-1)-u.exec)
-		for t := start; t < start+u.exec; t++ {
+		end := start + u.exec
+		for t := start; t < end; t++ {
 			occ[t]++
 		}
 		c.occ[u.class] = occ
+		c.occHW[u.class] = max(c.occHW[u.class], end)
+	}
+	for cls, hw := range c.occHW {
+		clear(c.occ[cls][:hw])
+		c.occHW[cls] = 0
 	}
 	return rank
 }
@@ -457,6 +592,13 @@ func (c *Ctx) rankOf(ds []descendant, dv int) int {
 // against d. This is how Move_Idle_Slot shares one rank computation between
 // its refill test and the actual reschedule. The Result's Ranks field
 // aliases the input slice.
+//
+// When the priority list equals the one the previous call scheduled on
+// this binding, the previous schedule is returned again instead of
+// rescheduling; Reset and SetRelease forget it. A caller must therefore not
+// modify a returned schedule while the context can still return it again,
+// that is, before the next Reset or SetRelease. The fault-injection hook and
+// the budget's rank-pass charge run first on every call, reused or not.
 func (c *Ctx) RunRanks(ranks, d []int, tie []graph.NodeID) (*Result, error) {
 	if h := faultinject.RankPass; h != nil {
 		h()
@@ -477,9 +619,16 @@ func (c *Ctx) RunRanks(ranks, d []int, tie []graph.NodeID) (*Result, error) {
 		tie = c.source
 	}
 	list := c.buildList(ranks, tie)
-	s, err := c.ls.Run(list)
-	if err != nil {
-		return nil, err
+	s := c.lastS
+	if s == nil || !slices.Equal(list, c.lastList) {
+		var err error
+		if s, err = c.ls.Run(list); err != nil {
+			return nil, err
+		}
+		// The scheduled list becomes lastList; buildList fills the other
+		// buffer next time.
+		c.lastS = s
+		c.list, c.lastList = c.lastList, c.list
 	}
 	feasible := true
 	for v := 0; v < c.view.N; v++ {

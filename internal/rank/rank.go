@@ -12,11 +12,15 @@
 // latest completion time of v that lets every descendant meet its rank.
 //
 // The engine is built around Ctx, a reusable per-graph context that caches
-// the topological order, descendant closure and packing scratch, and that
-// supports incremental re-ranking after deadline changes (Update). The
-// package-level Compute/Run helpers build a throwaway context; hot paths
-// (Delay_Idle_Slots, Algorithm Lookahead, the loop candidate search) hold
-// one Ctx per graph and reuse it across every re-rank. ReferenceCompute and
+// the topological order, descendant closure, per-descendant path lengths
+// and packing scratch. Its Refresh re-ranks incrementally from the
+// deadlines it last ranked for. The rank computation is
+// translation-invariant, so a node whose deadline and whole descendant
+// closure moved by one common δ has its rank shifted by δ instead of
+// recomputed; unchanged nodes are skipped, and only the rest are re-packed.
+// The package-level Compute/Run helpers build a throwaway context; hot
+// paths (Delay_Idle_Slots, Algorithm Lookahead, the loop candidate search)
+// hold one Ctx per graph and reuse it across every re-rank. ReferenceCompute and
 // ReferenceRun retain the original one-shot implementation as the oracle for
 // differential tests.
 package rank

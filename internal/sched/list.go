@@ -71,7 +71,10 @@ type ListScheduler struct {
 	earliest  []int
 	remaining []int
 	unitFree  []int
-	seen      []bool
+	// posOf[v] is v's index in the priority list; ready holds, by list
+	// position, the unissued nodes whose predecessors have all issued.
+	posOf []int
+	ready graph.Bitset
 	// rel, when non-nil, holds per-node release times seeding earliest at
 	// the start of every run (see SetRelease).
 	rel []int
@@ -115,15 +118,17 @@ func (ls *ListScheduler) Reset(view graph.AdjView, m *machine.Machine, g *graph.
 	ls.rel = nil
 
 	if cap(ls.indeg) < n {
-		ls.indeg = make([]int, n)
-		ls.earliest = make([]int, n)
-		ls.remaining = make([]int, n)
-		ls.seen = make([]bool, n)
+		// One backing for the four per-node int arrays.
+		ints := make([]int, 4*n)
+		ls.indeg, ls.earliest = ints[:n:n], ints[n:2*n:2*n]
+		ls.remaining, ls.posOf = ints[2*n:3*n:3*n], ints[3*n:]
+		ls.ready = graph.NewBitset(n)
 	}
 	ls.indeg = ls.indeg[:n]
 	ls.earliest = ls.earliest[:n]
 	ls.remaining = ls.remaining[:n]
-	ls.seen = ls.seen[:n]
+	ls.posOf = ls.posOf[:n]
+	ls.ready = ls.ready[:(n+63)/64]
 	clear(ls.indeg)
 	for _, d := range ls.dst[:view.Off[n]] {
 		ls.indeg[d]++
@@ -176,13 +181,15 @@ func (ls *ListScheduler) Run(priority []graph.NodeID) (*Schedule, error) {
 	if v := ls.negClass; v >= 0 {
 		return nil, fmt.Errorf("sched: node %d (%s) has negative class %d", v, ls.labels[v], ls.class[v])
 	}
-	seen := ls.seen
-	clear(seen)
-	for _, id := range priority {
-		if id < 0 || int(id) >= n || seen[id] {
+	posOf := ls.posOf
+	for v := range posOf {
+		posOf[v] = -1
+	}
+	for i, id := range priority {
+		if id < 0 || int(id) >= n || posOf[id] >= 0 {
 			return nil, fmt.Errorf("sched: priority list is not a permutation (node %d)", id)
 		}
-		seen[id] = true
+		posOf[id] = i
 	}
 
 	s := &Schedule{G: ls.g, M: ls.m, Start: make([]int, n), Unit: make([]int, n), exec: ls.exec}
@@ -207,13 +214,24 @@ func (ls *ListScheduler) Run(priority []graph.NodeID) (*Schedule, error) {
 	// unitFree[u]: cycle at which global unit u becomes free.
 	unitFree := ls.unitFree
 	clear(unitFree)
+	// The scans below visit only ready nodes, in list order: the same nodes,
+	// in the same order, that a scan of the whole list would not skip.
+	// NextSet re-reads the live word, so a node made ready by an issue
+	// earlier in the same cycle is still visited, as in a full scan.
+	ready := ls.ready
+	clear(ready)
+	for v, r := range remaining {
+		if r == 0 {
+			ready.Set(posOf[v])
+		}
+	}
 
 	scheduled := 0
 	for t := 0; scheduled < n; t++ {
 		progress := false
-		for _, id := range priority {
-			v := int(id)
-			if s.Start[v] != Unassigned || remaining[v] > 0 || earliest[v] > t {
+		for p := ready.NextSet(0); p >= 0; p = ready.NextSet(p + 1) {
+			v := int(priority[p])
+			if earliest[v] > t {
 				continue
 			}
 			base, count := ls.ubase[ls.class[v]], ls.ucount[ls.class[v]]
@@ -233,13 +251,16 @@ func (ls *ListScheduler) Run(priority []graph.NodeID) (*Schedule, error) {
 			}
 			s.Start[v] = t
 			s.Unit[v] = unit
+			ready.Clear(p)
 			fin := t + int(ls.exec[v])
 			unitFree[unit] = fin
 			scheduled++
 			progress = true
 			for e := ls.off[v]; e < ls.off[v+1]; e++ {
 				d := ls.dst[e]
-				remaining[d]--
+				if remaining[d]--; remaining[d] == 0 {
+					ready.Set(posOf[d])
+				}
 				if r := fin + int(ls.lat[e]); r > earliest[d] {
 					earliest[d] = r
 				}
@@ -250,11 +271,8 @@ func (ls *ListScheduler) Run(priority []graph.NodeID) (*Schedule, error) {
 		// issued, jump to the next time anything can change.
 		if !progress && scheduled < n {
 			next := -1
-			for _, id := range priority {
-				v := int(id)
-				if s.Start[v] != Unassigned || remaining[v] > 0 {
-					continue
-				}
+			for p := ready.NextSet(0); p >= 0; p = ready.NextSet(p + 1) {
+				v := int(priority[p])
 				cand := earliest[v]
 				base, count := ls.ubase[ls.class[v]], ls.ucount[ls.class[v]]
 				// earliest unit availability for this class

@@ -30,6 +30,7 @@ go test -run '^$' -fuzz '^FuzzScheduleTrace$' -fuzztime 10s .
 go test -run '^$' -fuzz '^FuzzStepCache$' -fuzztime 10s .
 go test -run '^$' -fuzz '^FuzzExactOracle$' -fuzztime 10s .
 go test -run '^$' -fuzz '^FuzzSpeculativeTrace$' -fuzztime 10s .
+go test -run '^$' -fuzz '^FuzzRankRefresh$' -fuzztime 10s ./internal/rank
 echo "== optimality-gap quick sweep (E1GAP, reduced instance count)"
 # The full 60-instance sweep lives in EXPERIMENTS.md; a 15-instance pass
 # keeps the heuristic-vs-exact differential honest on every check without
@@ -69,7 +70,7 @@ echo "== stream push must stay at its exact allocation count"
 # The streaming scheduler's pitch is bounded per-push cost: the engine reuses
 # its walk, compaction buffers, and CSR scratch, so a steady-state push
 # allocates a small constant — exactly 14 on a step-cache hit (the escaping
-# BlockResult) and 31 on a miss (plus the merge/delay schedules).
+# BlockResult) and 29 on a miss (plus the merge/delay schedules).
 go test -run '^TestStreamPushAllocBudget$' -count=1 .
 echo "== step-cache hits must stay within their allocation budget"
 # A push that replays a cached fragment must stay far below the uncached
@@ -78,7 +79,7 @@ echo "== step-cache hits must stay within their allocation budget"
 go test -run '^TestStepCacheHitAllocBudget$' -count=1 .
 echo "== speculation-off trace path must stay at its exact allocation count"
 # The speculative parallel dispatch gate must cost an integer compare on the
-# default small-trace path: pinned at BENCH_PR8's exact 133 allocs/op.
+# default small-trace path: pinned at exactly 121 allocs/op.
 go test -run '^TestScheduleTraceAllocExactSpecOff$' -count=1 .
 echo "== speculative, step-cache and stream results must be deterministic across runs and -cpu"
 # The same invariant CI's parallel-determinism job enforces: speculation,
@@ -86,6 +87,6 @@ echo "== speculative, step-cache and stream results must be deterministic across
 # regardless of GOMAXPROCS or repetition. Every driver runs on a pooled or
 # long-lived walk, so state leaking between calls would surface here.
 go test -run 'Speculative|ParallelTrace|StepCache|Stream' -count=2 -cpu=1,4 ./...
-echo "== benchsnap -compare BENCH_PR12.json"
-go run ./cmd/benchsnap -compare BENCH_PR12.json
+echo "== benchsnap -compare BENCH_PR16.json"
+go run ./cmd/benchsnap -compare BENCH_PR16.json
 echo "check: OK"

@@ -479,7 +479,7 @@ func TestStreamPushAllocBudget(t *testing.T) {
 		exact int
 	}{
 		{"hit", StreamOptions{Lookahead: 1}, 14},
-		{"miss", StreamOptions{Lookahead: 1, StepCacheCapacity: -1}, 31},
+		{"miss", StreamOptions{Lookahead: 1, StepCacheCapacity: -1}, 29},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
