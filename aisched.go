@@ -282,10 +282,13 @@ func BuildTraceGraph(blocks [][]Instr) *Graph { return deps.BuildTrace(blocks) }
 func BuildLoopGraph(instrs []Instr) *Graph { return deps.BuildLoop(instrs) }
 
 // CheckLegal verifies the paper's Definition 2.3 legality of a trace
-// schedule for window size w: dependence/resource validity, the Window
-// Constraint (every cross-block inversion spans ≤ w positions), and the
-// Ordering Constraint (the schedule is the greedy execution of its own
-// per-block orders).
+// schedule for window size w: the schedule must be dependence- and
+// resource-valid, and the window model that SimulateTrace runs, given the
+// static order made of the schedule's own per-block orders, must issue every
+// instruction at exactly its scheduled start. That one replay covers the
+// Window Constraint, the Ordering Constraint and Definition 2.1
+// emittability. Outside the restricted model (several units, latencies
+// above 1) predictions can drift from the replay, so it may reject them.
 func CheckLegal(s *Schedule, w int) error { return sched.CheckLegal(s, w) }
 
 // CFG is a control-flow graph over compiled basic blocks, with

@@ -13,12 +13,11 @@ import (
 // assertEmittableOrder checks that a backend's static order is compiler-
 // emittable per Definition 2.1: a permutation of the graph, block-
 // contiguous in ascending block order, with every intra-block distance-0
-// dependence pointing forward. (Full CheckLegal is deliberately not used
-// here: its ordering constraint replays the windowless greedy scheduler,
-// which can legally pull an instruction above a window-stalled predecessor
-// position — a hardware-achievable anticipatory schedule at W≥3 fails that
-// replay even in the restricted model. The hw simulator is the arbiter of
-// dynamic legality instead.)
+// dependence pointing forward. It stands in for CheckLegal on general-model
+// machines, where CheckLegal does not apply: co-issue ties on multi-unit
+// machines make the schedule's subpermutations differ from the emitted
+// order (order [1 0 2 3 4 5 6] against subpermutations [1 0 2 4 3 5 6]),
+// and general-model predictions drift from the window replay.
 func assertEmittableOrder(t *testing.T, tag string, g *Graph, order []NodeID) {
 	t.Helper()
 	if len(order) != g.Len() {
@@ -71,15 +70,16 @@ func TestHeuristicMatchesExactRestricted(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: heuristic: %v", i, err)
 		}
-		if err := h.S.Validate(); err != nil {
-			t.Fatalf("seed %d: heuristic schedule invalid: %v", i, err)
+		if err := CheckLegal(h.S, m.Window); err != nil {
+			t.Fatalf("seed %d: heuristic schedule illegal: %v", i, err)
 		}
-		assertEmittableOrder(t, "heuristic", g, h.Order)
 		e, err := exact.ScheduleTrace(ctx, g, m)
 		if err != nil {
 			t.Fatalf("seed %d: exact: %v", i, err)
 		}
-		assertEmittableOrder(t, "exact", g, e.Order)
+		if err := CheckLegal(e.S, m.Window); err != nil {
+			t.Fatalf("seed %d: exact schedule illegal: %v", i, err)
+		}
 		opt := e.S.Makespan()
 		if got := h.S.Makespan(); got != opt {
 			t.Fatalf("seed %d: predicted heuristic makespan %d != optimum %d (W=%d, %d nodes)",
@@ -122,6 +122,9 @@ func TestHeuristicNearExactRestrictedTraces(t *testing.T) {
 		h, err := heur.ScheduleTrace(ctx, g, m)
 		if err != nil {
 			t.Fatalf("seed %d: heuristic: %v", i, err)
+		}
+		if err := CheckLegal(h.S, m.Window); err != nil {
+			t.Fatalf("seed %d: heuristic schedule illegal: %v", i, err)
 		}
 		e, err := exact.ScheduleTrace(ctx, g, m)
 		if err != nil {

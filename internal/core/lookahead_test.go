@@ -11,6 +11,7 @@ import (
 	"aisched/internal/paperex"
 	"aisched/internal/rank"
 	"aisched/internal/sched"
+	"aisched/internal/workload"
 )
 
 func TestLookaheadFigure2Makespan11(t *testing.T) {
@@ -356,6 +357,30 @@ func randomLatencyTrace(r *rand.Rand, nblocks, nodesPer int, pIn, pX float64, cl
 		}
 	}
 	return g
+}
+
+func TestLookaheadLegalDenseTrace(t *testing.T) {
+	// In the restricted model (single unit, 0/1 latencies) every predicted
+	// schedule must be Definition 2.3 legal: the window, running the
+	// schedule's own block order, issues each instruction at its predicted
+	// start. A windowless greedy replay of that order rejects 57 (W=2) and
+	// 40 (W=4) of these schedules that the window hardware does produce.
+	for _, w := range []int{2, 4} {
+		m := machine.SingleUnit(w)
+		for seed := int64(0); seed < 500; seed++ {
+			g, err := workload.Trace(rand.New(rand.NewSource(seed)), workload.DenseTrace())
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := Lookahead(g, m)
+			if err != nil {
+				t.Fatalf("W=%d seed %d: %v", w, seed, err)
+			}
+			if err := sched.CheckLegal(res.S, w); err != nil {
+				t.Fatalf("W=%d seed %d: %v", w, seed, err)
+			}
+		}
+	}
 }
 
 func TestLookaheadPredictionLegal(t *testing.T) {

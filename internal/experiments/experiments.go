@@ -145,7 +145,7 @@ func E2() (*Result, error) {
 		res.Passed = false
 		res.Notes = append(res.Notes, "legality check failed: "+err.Error())
 	} else {
-		res.Notes = append(res.Notes, "Definition 2.3 legality: window + ordering constraints hold")
+		res.Notes = append(res.Notes, "Definition 2.3 legality: the window replay of its block orders reproduces it")
 	}
 	return res, nil
 }

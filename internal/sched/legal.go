@@ -3,75 +3,31 @@ package sched
 import (
 	"fmt"
 
-	"aisched/internal/graph"
+	"aisched/internal/hw"
 )
 
-// CheckWindowConstraint verifies Definition 2.2/2.3's Window Constraint on
-// the schedule's permutation: for every inversion (i, j) — position i holds
-// an instruction of a later basic block than position j, with i < j — the
-// span j − i + 1 must not exceed the lookahead window size W, because both
-// instructions must be resident in the window simultaneously for the
-// hardware to have executed them out of static order.
-func CheckWindowConstraint(s *Schedule, w int) error {
-	p := s.Permutation()
-	for i := 0; i < len(p); i++ {
-		for j := i + 1; j < len(p); j++ {
-			if s.G.Node(p[i]).Block > s.G.Node(p[j]).Block {
-				if span := j - i + 1; span > w {
-					return fmt.Errorf("sched: inversion (%d,%d) spans %d > window %d (blocks %d vs %d)",
-						i, j, span, w, s.G.Node(p[i]).Block, s.G.Node(p[j]).Block)
-				}
-			}
-		}
-	}
-	return nil
-}
-
-// CheckOrderingConstraint verifies Definition 2.3's Ordering Constraint: the
-// schedule must be obtainable as a greedy schedule from the priority list
-// L = P_1 ∘ P_2 ∘ ... ∘ P_m of its own per-block subpermutations. This
-// models the hardware never issuing a later ready instruction in the window
-// before an earlier ready instruction.
-func CheckOrderingConstraint(s *Schedule) error {
-	l := s.ConcatSubpermutations()
-	if len(l) != s.G.Len() {
-		return fmt.Errorf("sched: subpermutations cover %d of %d nodes", len(l), s.G.Len())
-	}
-	ok, err := GreedyEquals(s, l)
-	if err != nil {
-		return err
-	}
-	if !ok {
-		return fmt.Errorf("sched: schedule is not the greedy schedule of its own block order")
-	}
-	return nil
-}
-
-// CheckLegal runs the full Definition 2.3 legality check for window size w:
-// dependence/resource validity, Window Constraint, and Ordering Constraint.
+// CheckLegal runs Definition 2.3's legality check for window size w. The
+// schedule must be valid, and the window hardware (internal/hw), running the
+// static order L = P_1 ∘ P_2 ∘ ... ∘ P_m of the schedule's own per-block
+// subpermutations, must issue every instruction at exactly its scheduled
+// start. The one replay covers the Window Constraint, the Ordering
+// Constraint and Definition 2.1 emittability.
 func CheckLegal(s *Schedule, w int) error {
 	if err := s.Validate(); err != nil {
 		return err
 	}
-	if err := CheckWindowConstraint(s, w); err != nil {
+	l := s.ConcatSubpermutations()
+	res, err := hw.SimulateTrace(s.G, s.M.WithWindow(w), l)
+	if err != nil {
 		return err
 	}
-	return CheckOrderingConstraint(s)
-}
-
-// Inversions returns all inversion pairs (i, j) in the permutation, useful
-// for diagnostics and tests.
-func Inversions(s *Schedule) [][2]int {
-	p := s.Permutation()
-	var out [][2]int
-	for i := 0; i < len(p); i++ {
-		for j := i + 1; j < len(p); j++ {
-			if s.G.Node(p[i]).Block > s.G.Node(p[j]).Block {
-				out = append(out, [2]int{i, j})
-			}
+	for i, v := range l {
+		if res.Issued[i] != s.Start[v] {
+			return fmt.Errorf("sched: node %d (%s) is scheduled at %d but issues at %d under window %d",
+				v, s.G.Node(v).Label, s.Start[v], res.Issued[i], w)
 		}
 	}
-	return out
+	return nil
 }
 
 // PermutationLabels is a debugging helper returning the labels of the
@@ -83,15 +39,4 @@ func PermutationLabels(s *Schedule) []string {
 		out[i] = s.G.Node(id).Label
 	}
 	return out
-}
-
-// NodeAtStart returns the node starting exactly at time t on the given unit,
-// or graph.None.
-func NodeAtStart(s *Schedule, unit, t int) graph.NodeID {
-	for v := 0; v < s.G.Len(); v++ {
-		if s.Unit[v] == unit && s.Start[v] == t {
-			return graph.NodeID(v)
-		}
-	}
-	return graph.None
 }

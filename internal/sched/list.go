@@ -12,13 +12,14 @@ import (
 // functional unit of its class is free. An instruction is ready at cycle t
 // when every distance-0 predecessor u satisfies finish(u) + latency ≤ t.
 //
-// This single routine serves three roles in the paper:
+// This single routine serves two roles in the paper:
 //   - step 3 of the Rank Algorithm (greedy scheduling of the rank-ordered
 //     list, §2.1),
 //   - the baseline prioritized-list schedulers (§6, Warren/Gibbons-Muchnick
-//     style, with different priority orders),
-//   - the Ordering Constraint oracle of Definition 2.3 ("S is obtainable as
-//     a greedy schedule from priority list L").
+//     style, with different priority orders).
+//
+// Definition 2.3 legality is judged by the window replay in CheckLegal, not
+// by this windowless scheduler.
 //
 // The priority list must contain each node exactly once. An error is
 // returned if the list is malformed or the graph's loop-independent subgraph
@@ -61,7 +62,7 @@ type ListScheduler struct {
 
 	// g is the graph behind the view when the caller has one (nil for
 	// induced subgraph views); it is stored on produced Schedules so that
-	// graph-dependent methods (Validate, Subpermutation) keep working.
+	// graph-dependent methods (Validate, ConcatSubpermutations) keep working.
 	g *graph.Graph
 	m *machine.Machine
 
@@ -296,22 +297,6 @@ func (ls *ListScheduler) Run(priority []graph.NodeID) (*Schedule, error) {
 		}
 	}
 	return s, nil
-}
-
-// GreedyEquals reports whether running the greedy list scheduler on the
-// given priority list reproduces schedule s exactly (same start times). This
-// is the Ordering Constraint test of Definition 2.3.
-func GreedyEquals(s *Schedule, priority []graph.NodeID) (bool, error) {
-	t, err := ListSchedule(s.G, s.M, priority)
-	if err != nil {
-		return false, err
-	}
-	for v := range s.Start {
-		if s.Start[v] != t.Start[v] {
-			return false, nil
-		}
-	}
-	return true, nil
 }
 
 // SourceOrder returns the identity priority list (original program order).

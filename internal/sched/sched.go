@@ -1,8 +1,8 @@
 // Package sched defines the schedule representation shared by every
 // scheduler in this repository, the greedy list scheduler that underlies
-// both the Rank Algorithm and the hardware issue model, and the legality
-// checks of Sarkar & Simons Definition 2.3 (Window Constraint and Ordering
-// Constraint).
+// the Rank Algorithm and the baselines, and the legality check of Sarkar &
+// Simons Definition 2.3, which replays the schedule's own block order on
+// the window hardware model (internal/hw).
 //
 // Time conventions: cycles are integers starting at 0. A node with start
 // time s and execution time e occupies its functional unit during [s, s+e)
@@ -267,18 +267,6 @@ func (s *Schedule) Permutation() []graph.NodeID {
 	return ids
 }
 
-// Subpermutation returns the relative order of the nodes of one block within
-// the schedule's permutation (Definition 2.1's P_k).
-func (s *Schedule) Subpermutation(block int) []graph.NodeID {
-	var out []graph.NodeID
-	for _, id := range s.Permutation() {
-		if s.G.Node(id).Block == block {
-			out = append(out, id)
-		}
-	}
-	return out
-}
-
 // Blocks returns the sorted distinct block indices present in the graph.
 func Blocks(g *graph.Graph) []int {
 	seen := map[int]bool{}
@@ -293,15 +281,29 @@ func Blocks(g *graph.Graph) []int {
 	return out
 }
 
-// ConcatSubpermutations returns L = P_1 ∘ P_2 ∘ ... ∘ P_m: the per-block
-// subpermutations concatenated in block order (Definition 2.3's priority
-// list). This is the static instruction order the compiler would emit.
+// ConcatSubpermutations returns L = P_1 ∘ P_2 ∘ ... ∘ P_m: each block's
+// subpermutation P_k (the relative order of its nodes in the schedule's
+// permutation, Definition 2.1) concatenated in block order (Definition
+// 2.3's priority list), as one sort by (block, start, unit). This is the static
+// instruction order the compiler would emit.
 func (s *Schedule) ConcatSubpermutations() []graph.NodeID {
-	var out []graph.NodeID
-	for _, b := range Blocks(s.G) {
-		out = append(out, s.Subpermutation(b)...)
+	ids := make([]graph.NodeID, 0, len(s.Start))
+	for v := range s.Start {
+		if s.Start[v] != Unassigned {
+			ids = append(ids, graph.NodeID(v))
+		}
 	}
-	return out
+	sort.Slice(ids, func(i, j int) bool {
+		a, b := ids[i], ids[j]
+		if ba, bb := s.G.Node(a).Block, s.G.Node(b).Block; ba != bb {
+			return ba < bb
+		}
+		if s.Start[a] != s.Start[b] {
+			return s.Start[a] < s.Start[b]
+		}
+		return s.Unit[a] < s.Unit[b]
+	})
+	return ids
 }
 
 // String renders the schedule as a per-unit timeline, e.g.

@@ -20,6 +20,10 @@ echo "== go vet ./..."
 go vet ./...
 echo "== go test ./..."
 go test ./...
+echo "== run every example"
+# Run, not just compile: quickstart fails if CheckLegal rejects its
+# schedule, so this is the public API's end-to-end smoke test.
+for d in examples/*/; do go run "./$d" >/dev/null; done
 echo "== benchmark module: go vet + go test (bench/ is its own module)"
 (cd bench && go vet . && go test .)
 echo "== go test -race ./..."
