@@ -223,8 +223,9 @@ func EvaluateLoopOrder(g *Graph, m *Machine, order []NodeID) (*LoopSteady, error
 type UnrolledSteady = loops.UnrolledSteady
 
 // UnrollLoop replicates a single-block loop body k times (dependence
-// distances adjusted) and schedules the unrolled body anticipatorily; the
-// k=1 solution repeated is always a candidate, so unrolling never loses.
+// distances adjusted) and schedules the unrolled body anticipatorily. When
+// the un-unrolled schedule is faster per iteration, it is returned instead
+// (K = 1), so unrolling never loses.
 func UnrollLoop(g *Graph, m *Machine, k int) (*UnrolledSteady, error) {
 	return loops.UnrollAndSchedule(g, m, k)
 }

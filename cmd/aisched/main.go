@@ -295,7 +295,11 @@ func runLoop(b isa.Block, m *machine.Machine, iters, unroll int, rec *aisched.Tr
 		if err != nil {
 			fatal(err)
 		}
-		fmt.Printf("unrolled ×%d: %.2f cycles per original iteration\n", unroll, u.PerIteration())
+		note := ""
+		if u.K != unroll {
+			note = " (the rolled loop is faster and is kept)"
+		}
+		fmt.Printf("unrolled ×%d: %.2f cycles per original iteration%s\n", unroll, u.PerIteration(), note)
 	}
 }
 

@@ -97,11 +97,10 @@ type Options struct {
 	// instead of a result.
 	Budget *sbudget.State
 	// StepCache, when non-nil, memoizes whole merge + delay + chop iterations
-	// keyed by structural fingerprints and replays hits as relocatable
-	// fragments (see stepcache.go). It engages only on canonical-layout
-	// iterations — no custom Tie, every carried ID below every new ID (always
-	// true for block-grouped traces) — and is bypassed transparently
-	// otherwise. Results are bit-identical with and without it.
+	// keyed by a hash of each step's full input and replays hits as
+	// relocatable fragments (see stepcache.go). Any node layout is
+	// cacheable; a custom Tie or a Tracer turns the cache off for the call.
+	// Results are bit-identical with and without it.
 	StepCache *StepCache
 	// Parallel selects the speculative parallel trace path (parallel.go).
 	// 0 (the default) is auto: long block-grouped traces are partitioned
@@ -308,10 +307,6 @@ type traceWalk struct {
 
 	emitted []graph.NodeID
 	carried []graph.NodeID // the carried suffix, in schedule order
-	// maxOld is the largest carried ID. The step cache requires the carried
-	// suffix to occupy the view's ID prefix — every carried ID below every
-	// new one — so the canonical-layout gate is O(1) per block.
-	maxOld graph.NodeID
 
 	oldMakespan int
 	timeBase    int
@@ -351,6 +346,11 @@ func (w *traceWalk) init(view graph.AdjView, m *machine.Machine, opt *Options, g
 	w.view, w.m = view, m
 	w.sc, w.skip, w.groups = opt.StepCache, opt.SkipDelay, gr
 	w.tr, w.budget = opt.Tracer, opt.Budget
+	if opt.Tie != nil || opt.Tracer != nil {
+		// The step key assumes the identity tie-break, and a replayed hit
+		// emits no per-pass events.
+		w.sc = nil
+	}
 	w.k = Unbounded
 	w.tiePos = w.tiePos[:0]
 	if opt.Tie != nil {
@@ -375,14 +375,10 @@ func (w *traceWalk) init(view graph.AdjView, m *machine.Machine, opt *Options, g
 	clear(w.relAbs)
 	w.emitted = w.emitted[:0]
 	w.carried = w.carried[:0]
-	w.maxOld = graph.NodeID(-1)
 	w.oldMakespan = 0
 	w.timeBase = 0
 	w.logFloors = false
 	w.floorLog = w.floorLog[:0]
-	// A pooled Step may carry a stale suffix fingerprint from its previous
-	// owner; RunMemo re-establishes it at the first empty-suffix merge.
-	w.step.suffOK = false
 }
 
 // block advances the walk by one block: newIDs are block b's nodes in
@@ -446,8 +442,7 @@ func (w *traceWalk) block(newIDs []graph.NodeID, b int) error {
 		Block: b, SkipDelay: w.skip,
 		Tracer: w.tr, Budget: w.budget,
 	}
-	canon := len(w.tiePos) == 0 && (len(old) == 0 || w.maxOld < newIDs[0])
-	out, err := w.step.RunMemo(&w.stepIn, w.sc, canon)
+	out, err := w.step.RunMemo(&w.stepIn, w.sc)
 	if err != nil {
 		return err
 	}
@@ -472,7 +467,6 @@ func (w *traceWalk) block(newIDs []graph.NodeID, b int) error {
 		w.commit(ids[si], s.Start[si], s.Unit[si])
 	}
 	w.carried = w.carried[:0]
-	w.maxOld = graph.NodeID(-1)
 	for _, si := range out.Plus {
 		oi := ids[si]
 		if s.Finish(si) <= cut {
@@ -480,7 +474,6 @@ func (w *traceWalk) block(newIDs []graph.NodeID, b int) error {
 			continue
 		}
 		w.carried = append(w.carried, oi)
-		w.maxOld = max(w.maxOld, oi)
 		w.dOld[oi] = out.D[si] - base
 		w.fOld[oi] = s.Finish(si) - base
 		// Tentative placement; overwritten if a later merge reorders it.
@@ -530,7 +523,6 @@ func (w *traceWalk) commit(v graph.NodeID, start, unit int) {
 func (w *traceWalk) flush() {
 	w.emitted = append(w.emitted, w.carried...)
 	w.carried = w.carried[:0]
-	w.maxOld = graph.NodeID(-1)
 	w.timeBase += w.oldMakespan
 	w.oldMakespan = 0
 }
@@ -547,10 +539,8 @@ func (w *traceWalk) rebind(n int, remap []int32) {
 			w.relAbs[nv] = w.relAbs[v]
 		}
 	}
-	w.maxOld = graph.NodeID(-1)
 	for i, v := range w.carried {
 		w.carried[i] = graph.NodeID(remap[v])
-		w.maxOld = max(w.maxOld, w.carried[i])
 	}
 	w.absStart = growKeep(w.absStart, n)
 	w.absUnit = growKeep(w.absUnit, n)

@@ -1,7 +1,7 @@
 package core
 
 // Speculative parallel trace scheduling: fingerprint-verified segment
-// speculation plus a pipelined per-block precompute stage.
+// speculation over cut points chosen by a per-block precompute stage.
 //
 // Algorithm Lookahead is inherently sequential — block i's merge consumes
 // the carried suffix emitted by block i−1 — so single-trace latency scales
@@ -9,12 +9,11 @@ package core
 // step gets. This file breaks that chain for long traces without giving up
 // bit-identical output:
 //
-//  1. A parallel precompute stage builds the per-block artifacts that
-//     depend only on the block, never on the carried suffix — the block
-//     group table (contiguous node ranges) and baseline per-block ranks (an
-//     intra-block longest-path relaxation) whose depth/size ratio scores
-//     how "barrier-like" a block is — across GOMAXPROCS workers before the
-//     merge walk starts.
+//  1. A precompute stage builds the per-block artifacts that depend only
+//     on the block, never on the carried suffix — the block group table
+//     (contiguous node ranges) and baseline per-block ranks (an intra-block
+//     longest-path relaxation) whose depth/size ratio scores how
+//     "barrier-like" a block is — before the merge walk starts.
 //
 //  2. The trace is partitioned into segments at candidate cut points
 //     chosen at barrier-scored blocks. Each speculative worker schedules
@@ -33,7 +32,7 @@ package core
 //     — floors at or below the frame base are inert on both sides because
 //     Step.Run clamps them to zero and the step key hashes only positive
 //     floors). On a match the speculated fragments are accepted wholesale:
-//     by the same purity argument that gates Step.RunMemo, identical view
+//     by the same purity argument that keys Step.RunMemo, identical view
 //     content + identical frame-relative carried state + identical clamped
 //     floors make every subsequent StepIn — and therefore every StepOut —
 //     bit-identical, so the worker's committed placements are the sequential
@@ -47,13 +46,11 @@ package core
 // (speculative passes must not charge a request's rank-pass budget, and a
 // cancellable request keeps the fully-checkpointed sequential path), and
 // node IDs grouped by block in ascending order (segments are contiguous ID
-// ranges — the same canonical-layout property the step cache requires).
-// Everything else falls through to the sequential walk unchanged.
+// ranges). Everything else falls through to the sequential walk unchanged.
 
 import (
 	"fmt"
 	"runtime"
-	"sync/atomic"
 
 	"aisched/internal/faultinject"
 	"aisched/internal/graph"
@@ -102,7 +99,7 @@ func SpecCounters() SpecStats {
 }
 
 // specFPSeed seeds the carried-suffix state fingerprint compared at every
-// join, disjoint from the step-cache seeds in stepcache.go by construction.
+// join, disjoint from the step-key seed in stepcache.go by construction.
 const specFPSeed = 0x51e9cafe03
 
 // Parallel-path tuning. The auto thresholds are deliberately conservative:
@@ -137,7 +134,7 @@ func (gr *blockGroups) ngroups() int { return len(gr.blk) }
 
 // buildGroups scans the non-empty CSR's block assignment and returns the
 // contiguous group table, or nil when node IDs are not grouped by block in
-// ascending order (the parallel path's canonical-layout requirement) or
+// ascending order (segments must be contiguous ID ranges) or
 // there are fewer than minGroups groups. The groups are counted first
 // without allocating, so a rejected trace costs one scan and nothing else.
 func buildGroups(csr *graph.CSR, minGroups int) *blockGroups {
@@ -173,36 +170,14 @@ func buildGroups(csr *graph.CSR, minGroups int) *blockGroups {
 	return gr
 }
 
-// precompute fills the per-block barrier scores, fanning the blocks over
-// GOMAXPROCS goroutines. Each score depends only on its block, so the stage
-// needs no coordination beyond an atomic work counter.
+// precompute fills the per-block barrier scores. Each score depends only on
+// its block; one pass over the blocks costs less than fanning it out.
 func (gr *blockGroups) precompute(view graph.AdjView) {
 	ng := gr.ngroups()
 	gr.score = make([]int64, ng)
-	nw := runtime.GOMAXPROCS(0)
-	if nw > ng {
-		nw = ng
-	}
-	if nw < 1 {
-		nw = 1
-	}
-	var next atomic.Int64
-	done := make(chan struct{}, nw)
-	for w := 0; w < nw; w++ {
-		go func() {
-			defer func() { done <- struct{}{} }()
-			var rankBuf []int
-			for {
-				g := int(next.Add(1)) - 1
-				if g >= ng {
-					return
-				}
-				gr.score[g], rankBuf = precomputeGroup(view, gr.off[g], gr.off[g+1], rankBuf)
-			}
-		}()
-	}
-	for w := 0; w < nw; w++ {
-		<-done
+	var rankBuf []int
+	for g := 0; g < ng; g++ {
+		gr.score[g], rankBuf = precomputeGroup(view, gr.off[g], gr.off[g+1], rankBuf)
 	}
 }
 
@@ -488,8 +463,7 @@ func lookaheadParallel(g *graph.Graph, m *machine.Machine, opt Options, csr *gra
 // splice accepts a verified speculation wholesale: the worker's committed
 // placements land shifted by the uniform join delta, its floor-write log
 // max-merges into the driver's floors, and the driver adopts the worker's
-// exit state (suffix, frame base, and the step cache's carried suffix
-// fingerprint) as its own.
+// exit state (suffix and frame base) as its own.
 func (drv *traceWalk) splice(wk *specWorker) {
 	w := wk.walk
 	delta := drv.timeBase - wk.cutBase
@@ -499,7 +473,6 @@ func (drv *traceWalk) splice(wk *specWorker) {
 	}
 	drv.emitted = append(drv.emitted, w.emitted...)
 	drv.carried = append(drv.carried[:0], w.carried...)
-	drv.maxOld = w.maxOld
 	drv.oldMakespan = w.oldMakespan
 	for _, id := range w.carried {
 		drv.dOld[id] = w.dOld[id]
@@ -513,6 +486,4 @@ func (drv *traceWalk) splice(wk *specWorker) {
 		}
 	}
 	drv.timeBase = w.timeBase + delta
-	drv.step.suffFP = w.step.suffFP
-	drv.step.suffOK = w.step.suffOK
 }

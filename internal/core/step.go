@@ -31,21 +31,18 @@ type Step struct {
 
 	chop chopScratch
 
-	// Window-realizability scratch (wcheck.go).
+	// windowRealizable's scratch.
 	wStatic []graph.NodeID
 	wByTime []graph.NodeID
 	wPos    []int
 
-	// Step-cache state (stepcache.go): the carried suffix fingerprint, the
-	// key hasher, and the replay scratch a cache hit materializes into.
-	suffFP    graph.Hash128
-	suffOK    bool
+	// Step-cache state (stepcache.go): the key hasher and the replay
+	// scratch a cache hit materializes into.
 	keyH      graph.Hasher
 	memoS     sched.Schedule
 	memoD     []int
 	memoMinus []graph.NodeID
 	memoPlus  []graph.NodeID
-	plusMask  []bool
 }
 
 // StepIn is one merge iteration's input. IsOld, DOld and FOld are indexed by
@@ -75,7 +72,8 @@ type StepIn struct {
 	// OldCount and OldMakespan describe the carried suffix as a whole.
 	OldCount    int
 	OldMakespan int
-	// Block is the current block index, for trace events.
+	// Block is the current block index: trace events report it, and the
+	// step key hashes view blocks relative to it.
 	Block     int
 	SkipDelay bool
 	Tracer    obs.Tracer

@@ -9,67 +9,51 @@ package core
 //
 // # Key
 //
-// A Step.Run outcome is a deterministic function of the view's content
-// (node attributes and edges), the machine (unit counts and window), the
-// carried suffix state (DOld/FOld/OldCount/OldMakespan), the release floors,
-// and SkipDelay. Tie, Block, Tracer and Budget affect only tie-break input
-// (see the canonical-layout precondition below), events, and cancellation —
-// never the schedule — so they stay out of the key. The key is a 128-bit
-// graph.Hasher sum over:
+// A Step.Run outcome is a deterministic function of its StepIn: the view's
+// content (node attributes and edges), the machine (unit counts and
+// window), the carried suffix state (IsOld/DOld/FOld/OldCount/OldMakespan),
+// the release floors, SkipDelay, and the rank tie-break. Tracer and Budget
+// affect only events and cancellation, never the schedule, and the walk
+// hands the cache only identity tie-breaks, so none of the three is keyed.
+// The key is a 128-bit graph.Hasher sum over:
 //
 //   - the constants: view size, OldCount, OldMakespan, SkipDelay, window,
 //     unit counts;
-//   - the carried suffix fingerprint (see below), folding the whole suffix
-//     into two words;
-//   - the new nodes' exec/class attributes (their block is implied: one new
-//     block, ordered after every suffix block);
+//   - every view node in view-ID order: exec, class, and block relative to
+//     StepIn.Block, then a flag word — 1 for a carried node, followed by its
+//     DOld and FOld (both chop-frame-relative), 0 for a new one;
 //   - the view's edge count, then every edge as (src, dst, latency) in view
-//     IDs — view IDs are canonical positions, so relocated copies of the
-//     same structure hash identically;
+//     IDs — view IDs are positions, so relocated copies of the same
+//     structure hash identically;
 //   - the positive release floors as (view ID, floor) pairs.
 //
-// Both variable-length lists are framed: the edge count ends the edge list
-// and Hasher.Sum folds in the total word count, which ends the floor list.
-// Without the edge count, a block with edges 0→1 and 1→2 (latency 1) and
-// no floors absorbs the same words as the same block with no edges and
-// floor 1 on every node, and the second would replay the first's schedule.
+// Block numbers enter only relative to the current block: Step.Run reads
+// them only through windowRealizable's order comparisons, so the same block
+// structure at a different trace or stream position shares a key, and the
+// key stays exact for any node layout — including traces whose node IDs
+// interleave blocks.
 //
-// # Incremental suffix fingerprint
+// Every variable-length list is framed. The view size frames the node list,
+// and each node's flag fixes how many words it absorbs. The edge count ends
+// the edge list, and Hasher.Sum folds in the total word count, which ends
+// the floor list. Without the edge count, a block with edges 0→1 and 1→2
+// (latency 1) and no floors absorbs the same words as the same block with
+// no edges and floor 1 on every node, and the second would replay the
+// first's schedule.
 //
-// The suffix half of the key is not re-hashed per step: when a miss runs the
-// full Step, the outgoing suffix (the Plus set) is fingerprinted once —
-// per node in ascending view-ID order (exactly the next view's prefix
-// order): exec, class, dense block ordinal, carried deadline and finish
-// (both chop-frame-relative) — and the sum is carried on the Step and
-// stored in the fragment. A hit therefore carries the next suffix
-// fingerprint in O(1), and a miss pays O(suffix); nothing ever re-hashes
-// the suffix per lookup. Block numbers enter only as dense ordinals:
-// every consumer of block numbers inside Step.Run (windowRealizable)
-// compares them for order, so order-isomorphic relabelings — the same
-// block structure at a different trace position — legitimately share a key.
-//
-// # Canonical layout precondition
-//
-// Caching requires the view to be in canonical layout: the carried suffix
-// occupies view IDs [0, OldCount) in ascending previous-view order, the new
-// block occupies [OldCount, N), and the rank tie-break is the identity
-// permutation (program order). The walk checks this per block: it holds
-// whenever every carried ID is below every new ID and no custom Tie is set —
-// always for a Stream's live window, and for a batch trace whose node IDs
-// are grouped by block — and bypasses the cache otherwise. Bypassed or
-// failed steps invalidate the carried fingerprint; the next full Run
-// recomputes it from its output, so cache coverage resumes one miss later.
+// Two things turn the cache off for a whole call, in traceWalk.init: a
+// custom Tie (the key assumes the identity tie-break) and an attached
+// Tracer (a replayed hit emits no per-pass events).
 //
 // # Fragment and relocation
 //
 // A cached value is a relocatable fragment: per-view-node start/unit/
 // deadline (frame-relative, int32), the Minus/Plus permutations in view IDs,
-// the chop base, and the successor suffix fingerprint. A hit replays in
-// O(fragment) into Step-owned scratch — the same lifetime contract as
-// StepOut's other fields — and the driver's existing commit path performs
-// the relocation: view ID → original/stream ID through its ids array, frame
-// cycle → absolute cycle through its time base. Steady-state hits allocate
-// nothing.
+// and the chop base. A hit replays in O(fragment) into Step-owned scratch —
+// the same lifetime contract as StepOut's other fields — and the driver's
+// existing commit path performs the relocation: view ID → original/stream
+// ID through its ids array, frame cycle → absolute cycle through its time
+// base. Steady-state hits allocate nothing.
 //
 // # Why a non-cryptographic 128-bit key is sound here
 //
@@ -86,30 +70,11 @@ import (
 
 	"aisched/internal/graph"
 	"aisched/internal/memo"
-	"aisched/internal/metrics"
 )
 
-// mStepRelocations counts cache hits replayed by fragment relocation — the
-// always-on companion to the step cache's hit/miss/evict counters
-// (memo.StepMetrics).
-var mStepRelocations = metrics.Default.NewCounter("aisched_stepcache_relocations_total",
-	"step-cache hits replayed by fragment relocation (view-ID remap + frame retime)")
-
-// Distinct hasher seeds for the two hash domains, so a step key can never
-// collide with a suffix fingerprint by construction.
-const (
-	stepKeySeed  = 0x51e9cafe01
-	suffixFPSeed = 0x51e9cafe02
-)
-
-// emptySuffixFP is the carried fingerprint of the empty suffix (OldCount 0):
-// a fixed value distinct from any real suffix sum (real sums absorb at least
-// the suffix length word under suffixFPSeed).
-var emptySuffixFP = func() graph.Hash128 {
-	var h graph.Hasher
-	h.Reset(suffixFPSeed)
-	return h.Sum()
-}()
+// stepKeySeed seeds the step-key hasher, disjoint from the parallel
+// driver's state-fingerprint seed (parallel.go).
+const stepKeySeed = 0x51e9cafe01
 
 // StepCacheConfig sizes a StepCache. The zero value picks the memo layer's
 // default budget of 4096 fragments.
@@ -155,7 +120,6 @@ type stepFrag struct {
 	plus     []int32 // carried suffix, schedule order
 	base     int32
 	repaired bool
-	suffFP   graph.Hash128 // successor suffix fingerprint, carried on a hit
 }
 
 // ApproxBytes implements memo.Sizer for the LRU's byte backstop.
@@ -163,50 +127,25 @@ func (f *stepFrag) ApproxBytes() int {
 	return 96 + 4*(len(f.start)+len(f.unit)+len(f.d)+len(f.minus)+len(f.plus))
 }
 
-// RunMemo is Step.Run behind the step cache. canonical reports that the
-// caller guarantees the canonical layout precondition (see the package
-// comment); when it is false, sc is nil, or a tracer wants per-pass events
-// (a replayed hit emits none), the call falls through to Run and the carried
-// fingerprint is invalidated. On a miss the full Run executes, the outgoing
-// suffix is fingerprinted, and the outcome is stored; on a hit the fragment
-// replays into Step-owned scratch — StepOut.S then aliases the Step like D,
-// Minus and Plus, valid until the next Run or RunMemo.
-func (st *Step) RunMemo(in *StepIn, sc *StepCache, canonical bool) (StepOut, error) {
-	if sc == nil || !canonical || in.Tracer != nil {
-		st.suffOK = false
+// RunMemo is Step.Run behind the step cache. With sc nil it is Run. The
+// caller owns the bypass decision: a custom Tie or an attached Tracer must
+// come with sc nil (see the package comment). On a miss the full Run
+// executes and its outcome is stored; on a hit the fragment replays into
+// Step-owned scratch — StepOut.S then aliases the Step like D, Minus and
+// Plus, valid until the next Run or RunMemo.
+func (st *Step) RunMemo(in *StepIn, sc *StepCache) (StepOut, error) {
+	if sc == nil {
 		return st.Run(in)
-	}
-	if in.OldCount == 0 {
-		st.suffFP = emptySuffixFP
-		st.suffOK = true
-	}
-	if !st.suffOK {
-		// The carried fingerprint was lost (a bypassed or failed step):
-		// run fully and rebuild it from the output so the next step can
-		// use the cache again.
-		out, err := st.Run(in)
-		if err != nil {
-			return out, err
-		}
-		st.suffFP = st.suffixFP(in, &out)
-		st.suffOK = true
-		return out, nil
 	}
 	key := st.stepKey(in)
 	if v, ok := sc.c.Get(key); ok {
-		f := v.(*stepFrag)
-		mStepRelocations.Inc()
-		st.suffFP = f.suffFP
-		return st.replay(in, f), nil
+		return st.replay(in, v.(*stepFrag)), nil
 	}
 	out, err := st.Run(in)
 	if err != nil {
-		st.suffOK = false
 		return out, err
 	}
-	next := st.suffixFP(in, &out)
-	sc.c.Put(key, fragOf(in, &out, next))
-	st.suffFP = next
+	sc.c.Put(key, fragOf(in, &out))
 	return out, nil
 }
 
@@ -230,10 +169,17 @@ func (st *Step) stepKey(in *StepIn) memo.Key {
 	for _, u := range in.M.Units {
 		h.Int(u)
 	}
-	h.Hash128(st.suffFP)
-	for si := in.OldCount; si < n; si++ {
+	for si := 0; si < n; si++ {
 		h.Int(int(view.Exec[si]))
 		h.Int(int(view.Class[si]))
+		h.Int(int(view.Block[si]) - in.Block)
+		if in.IsOld[si] {
+			h.Word(1)
+			h.Int(in.DOld[si])
+			h.Int(in.FOld[si])
+		} else {
+			h.Word(0)
+		}
 	}
 	// The edge count frames the edge list, so no edge list can absorb the
 	// same words as a shorter one followed by release floors.
@@ -260,42 +206,8 @@ func (st *Step) stepKey(in *StepIn) memo.Key {
 	return k
 }
 
-// suffixFP fingerprints the outgoing suffix of a completed step: the Plus
-// nodes in ascending view-ID order — exactly the next view's prefix order in
-// both drivers — with their attributes, dense block ordinal, and carried
-// deadline/finish rebased to the chop frame. O(view), paid once per miss.
-func (st *Step) suffixFP(in *StepIn, out *StepOut) graph.Hash128 {
-	n := in.View.N
-	st.plusMask = growSlice(st.plusMask, n)
-	mask := st.plusMask
-	clear(mask)
-	for _, si := range out.Plus {
-		mask[si] = true
-	}
-	h := &st.keyH
-	h.Reset(suffixFPSeed)
-	h.Int(len(out.Plus))
-	ord := -1
-	var lastBlock int32
-	for si := 0; si < n; si++ {
-		if !mask[si] {
-			continue
-		}
-		if ord < 0 || in.View.Block[si] != lastBlock {
-			ord++
-			lastBlock = in.View.Block[si]
-		}
-		h.Int(int(in.View.Exec[si]))
-		h.Int(int(in.View.Class[si]))
-		h.Int(ord)
-		h.Int(out.D[si] - out.Base)
-		h.Int(out.S.Finish(graph.NodeID(si)) - out.Base)
-	}
-	return h.Sum()
-}
-
 // fragOf freezes a completed step into an immutable fragment.
-func fragOf(in *StepIn, out *StepOut, next graph.Hash128) *stepFrag {
+func fragOf(in *StepIn, out *StepOut) *stepFrag {
 	n := in.View.N
 	f := &stepFrag{
 		n:        int32(n),
@@ -306,7 +218,6 @@ func fragOf(in *StepIn, out *StepOut, next graph.Hash128) *stepFrag {
 		plus:     make([]int32, len(out.Plus)),
 		base:     int32(out.Base),
 		repaired: out.Repaired,
-		suffFP:   next,
 	}
 	for i := 0; i < n; i++ {
 		f.start[i] = int32(out.S.Start[i])

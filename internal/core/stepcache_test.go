@@ -163,38 +163,66 @@ func TestStepCacheHitsOnDuplicateBlocks(t *testing.T) {
 	}
 }
 
-// TestStepCacheNonCanonicalBypass: interleaved block numbering breaks the
-// canonical-layout precondition; the driver must bypass the cache (no wrong
-// reuse, identical results) and recover coverage afterwards.
-func TestStepCacheNonCanonicalBypass(t *testing.T) {
-	// Blocks assigned round-robin: block of node i = i%3 — new IDs below
-	// carried IDs on every iteration after the first.
-	g := graph.New(12)
-	for i := 0; i < 12; i++ {
-		g.AddNode(fmt.Sprintf("n%d", i), 1, 0, i%3)
-	}
-	for i := 0; i < 11; i++ {
-		if i%2 == 0 {
-			g.MustEdge(graph.NodeID(i), graph.NodeID(i+1), 1, 0)
-		}
-	}
+// replayTwice runs g twice through one shared step cache: both passes must
+// equal the uncached result, and the second pass must replay all blocks
+// steps from the first without a miss.
+func replayTwice(t *testing.T, name string, g *graph.Graph, blocks uint64) {
+	t.Helper()
 	m := machine.SingleUnit(3)
 	want, err := LookaheadOpts(g, m, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sc := NewStepCache(StepCacheConfig{})
-	got, err := LookaheadOpts(g, m, Options{StepCache: sc})
-	if err != nil {
-		t.Fatal(err)
+	for pass := 0; pass < 2; pass++ {
+		before := sc.Counters()
+		got, err := LookaheadOpts(g, m, Options{StepCache: sc})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameResult(t, fmt.Sprintf("%s pass %d", name, pass), got, want)
+		c := sc.Counters()
+		if pass == 1 && (c.Hits-before.Hits != blocks || c.Misses != before.Misses) {
+			t.Fatalf("%s: second pass served %d hits and %d misses, want %d hits and none",
+				name, c.Hits-before.Hits, c.Misses-before.Misses, blocks)
+		}
 	}
-	sameResult(t, "noncanon", got, want)
-	// The first block merges with no carried suffix and may be cached, but
-	// every later step sees carried IDs above the new block's minimum and
-	// must bypass: no hit may ever be served on this layout.
-	if c := sc.Counters(); c.Hits != 0 {
-		t.Fatalf("non-canonical layout served %d cache hits: %+v", c.Hits, c)
+}
+
+// TestStepCacheNonCanonicalBypass: blocks assigned round robin, so from the
+// second block on every new ID lies between carried IDs. Such a layout once
+// had to bypass the cache; the step key hashes each view node's carried
+// state in place, so it is now cached and replayed like any other.
+func TestStepCacheNonCanonicalBypass(t *testing.T) {
+	g := graph.New(12)
+	for i := 0; i < 12; i++ {
+		g.AddNode(fmt.Sprintf("n%d", i), 1, 0, i%3)
 	}
+	for i := 0; i < 11; i += 2 {
+		g.MustEdge(graph.NodeID(i), graph.NodeID(i+1), 1, 0)
+	}
+	replayTwice(t, "round-robin", g, 3)
+}
+
+// TestStepCacheMaxOldGatingBypass: block 0 owns {0,1,2,4}, block 1 owns
+// {3,5,6,7}, so the blocks ascend but carried node 4 sits above block 1's
+// first ID 3. The latency-2 edge 2→4 leaves a trailing idle slot in block 0,
+// so the chop carries node 4 into the merge with block 1. That merge once
+// bypassed the cache behind a maxOld gate; it is now cached and replayed.
+func TestStepCacheMaxOldGatingBypass(t *testing.T) {
+	g := graph.New(8)
+	for i := 0; i < 8; i++ {
+		blk := 0
+		if i == 3 || i >= 5 {
+			blk = 1
+		}
+		g.AddNode(fmt.Sprintf("n%d", i), 1, 0, blk)
+	}
+	g.MustEdge(0, 1, 1, 0)
+	g.MustEdge(2, 4, 2, 0)
+	g.MustEdge(3, 5, 1, 0)
+	g.MustEdge(5, 6, 1, 0)
+	replayTwice(t, "straddle", g, 2)
 }
 
 // TestStepCacheCustomTieBypass: a custom tie order must bypass the cache and
@@ -253,63 +281,22 @@ func TestStepCacheTracerBypass(t *testing.T) {
 	}
 }
 
-// TestStepCacheMaxOldGatingBypass pins the subtle half of the canonical-
-// layout gate: blocks appear in ascending order (so the trace looks
-// canonical at a glance), but one block's IDs straddle the next block's
-// minimum. When the carried suffix holds an ID ≥ the new block's first ID,
-// fragment keys from relocated copies would collide, so the step must
-// bypass (maxOld < newIDs[0] fails) and results must match cache-off
-// exactly.
-func TestStepCacheMaxOldGatingBypass(t *testing.T) {
-	// Block 0 owns IDs {0,1,2,4}, block 1 owns {3,5,6,7}: ascending block
-	// sequence, but carried node 4 sits above block 1's minimum ID 3. The
-	// latency-2 edge 2→4 leaves a trailing idle slot in block 0 so the chop
-	// carries node 4 into the merge with block 1.
-	g := graph.New(8)
-	for i := 0; i < 8; i++ {
-		blk := 0
-		if i == 3 || i >= 5 {
-			blk = 1
-		}
-		g.AddNode(fmt.Sprintf("n%d", i), 1, 0, blk)
-	}
-	g.MustEdge(0, 1, 1, 0)
-	g.MustEdge(2, 4, 2, 0)
-	g.MustEdge(3, 5, 1, 0)
-	g.MustEdge(5, 6, 1, 0)
-	m := machine.SingleUnit(3)
-	want, err := LookaheadOpts(g, m, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc := NewStepCache(StepCacheConfig{})
-	got, err := LookaheadOpts(g, m, Options{StepCache: sc})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameResult(t, "maxold", got, want)
-	if c := sc.Counters(); c.Hits != 0 {
-		t.Fatalf("maxOld ≥ newIDs[0] layout served %d cache hits: %+v", c.Hits, c)
-	}
-	// Run the same trace again through the same cache: the canonical first
-	// step may hit, but the gated merge must keep bypassing — a second pass
-	// can never serve more hits than it has canonical steps.
-	if _, err := LookaheadOpts(g, m, Options{StepCache: sc}); err != nil {
-		t.Fatal(err)
-	}
-	if c := sc.Counters(); c.Hits > 1 {
-		t.Fatalf("gated merge was served from cache on replay: %+v", c)
-	}
+// blockStepIn builds the StepIn of one block merged into an empty suffix:
+// unit-time nodes of class 0, the given forward edges (latency < 0 means no
+// edge; lat[i][j] for i < j), and the given release floors.
+func blockStepIn(m *machine.Machine, lat [][]int, floors []int) *StepIn {
+	return carriedStepIn(m, lat, floors, make([]int, len(floors)), 0, nil, nil, 0)
 }
 
-// blockStepIn builds the canonical StepIn of one block merged into an empty
-// suffix: unit-time nodes of class 0, the given forward edges (latency < 0
-// means no edge; lat[i][j] for i < j), and the given release floors.
-func blockStepIn(m *machine.Machine, lat [][]int, floors []int) *StepIn {
+// carriedStepIn builds the StepIn of block b merged with a carried suffix:
+// view nodes [0, len(dOld)) are carried, of blocks b − behind[i], with
+// carried deadlines dOld and finishes fOld; the rest are block b's. Nodes,
+// edges and floors are as in blockStepIn.
+func carriedStepIn(m *machine.Machine, lat [][]int, floors, behind []int, b int, dOld, fOld []int, oldMakespan int) *StepIn {
 	n := len(floors)
 	g := graph.New(n)
 	for i := 0; i < n; i++ {
-		g.AddNode("", 1, 0, 0)
+		g.AddNode("", 1, 0, b-behind[i])
 	}
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
@@ -319,12 +306,15 @@ func blockStepIn(m *machine.Machine, lat [][]int, floors []int) *StepIn {
 		}
 	}
 	tie := make([]graph.NodeID, n)
+	isOld := make([]bool, n)
 	for i := range tie {
 		tie[i] = graph.NodeID(i)
+		isOld[i] = i < len(dOld)
 	}
 	return &StepIn{
-		View: graph.NewCSR(g).View(), M: m, Tie: tie, IsOld: make([]bool, n),
-		DOld: make([]int, n), FOld: make([]int, n), ROld: append([]int(nil), floors...),
+		View: graph.NewCSR(g).View(), M: m, Tie: tie, IsOld: isOld,
+		DOld: append(dOld, make([]int, n-len(dOld))...), FOld: append(fOld, make([]int, n-len(fOld))...),
+		ROld: append([]int(nil), floors...), OldCount: len(dOld), OldMakespan: oldMakespan, Block: b,
 	}
 }
 
@@ -346,11 +336,11 @@ func TestStepCacheKeyFramesEdges(t *testing.T) {
 	sc := NewStepCache(StepCacheConfig{})
 	defer sc.Release()
 	var st Step
-	if _, err := st.RunMemo(chain, sc, true); err != nil {
+	if _, err := st.RunMemo(chain, sc); err != nil {
 		t.Fatal(err)
 	}
 	before := sc.Counters()
-	got, err := st.RunMemo(floored, sc, true)
+	got, err := st.RunMemo(floored, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -368,65 +358,134 @@ func TestStepCacheKeyFramesEdges(t *testing.T) {
 	}
 }
 
-// TestStepCacheKeyExhaustive enumerates every canonical StepIn of up to 3
-// new nodes merged into an empty suffix — each forward pair with no edge or
-// an edge of latency 0, 1 or 2, each node with release floor 0, 1 or 2 —
-// and requires inputs that share a step key to share a Step.Run outcome.
-// This guards the key's framing as a whole, not one colliding pair.
-func TestStepCacheKeyExhaustive(t *testing.T) {
-	m := machine.SingleUnit(2)
-	outs := map[memo.Key]string{}
-	tags := map[memo.Key]string{}
-	var st Step
-	inputs := 0
-	for n := 1; n <= 3; n++ {
-		var pairs [][2]int
-		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				pairs = append(pairs, [2]int{i, j})
+// forwardLats enumerates every assignment of the given latency choices
+// (−1 = no edge) to the forward pairs of n nodes, as lat[i][j] matrices.
+func forwardLats(n int, choices []int) [][][]int {
+	var pairs [][2]int
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			pairs = append(pairs, [2]int{i, j})
+		}
+	}
+	cases := 1
+	for range pairs {
+		cases *= len(choices)
+	}
+	out := make([][][]int, cases)
+	for ec := range out {
+		lat := make([][]int, n)
+		for i := range lat {
+			lat[i] = make([]int, n)
+			for j := range lat[i] {
+				lat[i][j] = -1
 			}
 		}
-		edgeCases, floorCases := 1, 1
-		for range pairs {
-			edgeCases *= 4
+		for k, c := 0, ec; k < len(pairs); k, c = k+1, c/len(choices) {
+			lat[pairs[k][0]][pairs[k][1]] = choices[c%len(choices)]
 		}
+		out[ec] = lat
+	}
+	return out
+}
+
+// keyOracle records step outcomes by key and fails on the first key shared
+// by two inputs with different outcomes.
+type keyOracle struct {
+	st     Step
+	outs   map[memo.Key]string
+	tags   map[memo.Key]string
+	inputs int
+}
+
+func (o *keyOracle) check(t *testing.T, in *StepIn, tag string) {
+	t.Helper()
+	key := o.st.stepKey(in)
+	out, err := o.st.Run(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o.inputs++
+	got := stepOutString(out)
+	if want, ok := o.outs[key]; ok && want != got {
+		t.Fatalf("step key collision: %s -> %s, but %s -> %s", o.tags[key], want, tag, got)
+	}
+	o.outs[key], o.tags[key] = got, tag
+}
+
+// TestStepCacheKeyExhaustive enumerates small StepIns exhaustively and
+// requires inputs that share a step key to share a Step.Run outcome. This
+// guards the key's framing as a whole, not one colliding pair. The inputs
+// are:
+//   - every block of up to 3 new nodes merged into an empty suffix, each
+//     forward pair with no edge or an edge of latency 0, 1 or 2, each node
+//     with release floor 0, 1 or 2;
+//   - every merge of 1 or 2 carried nodes with 1 or 2 new ones (at most 3
+//     nodes), each forward pair with no edge or an edge of latency 0 or 1,
+//     each carried node of a block one or two behind the new one with
+//     deadline 1–3 and finish 1–3, on windows 1 and 2 — at two absolute
+//     block positions, which share keys, so the relative block numbering
+//     is checked too. Window 1 makes every inversion unrealizable, so the
+//     pinned re-merge (which reads the finishes) and the block-major static
+//     order both reach the outcome.
+func TestStepCacheKeyExhaustive(t *testing.T) {
+	m := machine.SingleUnit(2)
+	o := &keyOracle{outs: map[memo.Key]string{}, tags: map[memo.Key]string{}}
+	for n := 1; n <= 3; n++ {
+		floorCases := 1
 		for i := 0; i < n; i++ {
 			floorCases *= 3
 		}
-		for ec := 0; ec < edgeCases; ec++ {
-			lat := make([][]int, n)
-			for i := range lat {
-				lat[i] = make([]int, n)
-				for j := range lat[i] {
-					lat[i][j] = -1
-				}
-			}
-			for k, p, c := 0, pairs, ec; k < len(p); k, c = k+1, c/4 {
-				lat[p[k][0]][p[k][1]] = c%4 - 1
-			}
+		for _, lat := range forwardLats(n, []int{-1, 0, 1, 2}) {
 			for fc := 0; fc < floorCases; fc++ {
 				floors := make([]int, n)
 				for i, c := 0, fc; i < n; i, c = i+1, c/3 {
 					floors[i] = c % 3
 				}
-				in := blockStepIn(m, lat, floors)
-				st.suffFP = emptySuffixFP
-				key := st.stepKey(in)
-				out, err := st.Run(in)
-				if err != nil {
-					t.Fatal(err)
-				}
-				inputs++
-				tag := fmt.Sprintf("edges %v floors %v", lat, floors)
-				got := stepOutString(out)
-				if want, ok := outs[key]; ok && want != got {
-					t.Fatalf("step key collision: %s -> %s, but %s -> %s", tags[key], want, tag, got)
-				}
-				outs[key], tags[key] = got, tag
+				o.check(t, blockStepIn(m, lat, floors), fmt.Sprintf("edges %v floors %v", lat, floors))
 			}
 		}
 	}
-	if inputs != 3+4*9+64*27 {
-		t.Fatalf("enumerated %d inputs, want %d", inputs, 3+4*9+64*27)
+	if want := 3 + 4*9 + 64*27; o.inputs != want {
+		t.Fatalf("enumerated %d empty-suffix inputs, want %d", o.inputs, want)
+	}
+
+	// Each carried node takes one of 2 (behind) × 3 (deadline) × 3 (finish)
+	// states.
+	const oldStates = 18
+	carried := 0
+	for old := 1; old <= 2; old++ {
+		for n := old + 1; n <= 3; n++ {
+			stateCases := 1
+			for i := 0; i < old; i++ {
+				stateCases *= oldStates
+			}
+			for _, lat := range forwardLats(n, []int{-1, 0, 1}) {
+				for sc := 0; sc < stateCases; sc++ {
+					behind := make([]int, n)
+					dOld := make([]int, old)
+					fOld := make([]int, old)
+					oldMakespan := 0
+					for i, c := 0, sc; i < old; i, c = i+1, c/oldStates {
+						state := c % oldStates
+						behind[i] = 1 + state%2
+						dOld[i] = 1 + state/2%3
+						fOld[i] = 1 + state/6
+						oldMakespan = max(oldMakespan, fOld[i])
+					}
+					for _, w := range []int{1, 2} {
+						for _, b := range []int{2, 7} {
+							in := carriedStepIn(machine.SingleUnit(w), lat, make([]int, n), behind, b,
+								append([]int(nil), dOld...), append([]int(nil), fOld...), oldMakespan)
+							o.check(t, in, fmt.Sprintf("W=%d block %d edges %v behind %v dOld %v fOld %v",
+								w, b, lat, behind, dOld, fOld))
+							carried++
+						}
+					}
+				}
+			}
+		}
+	}
+	if want := 4 * (3*oldStates + 27*oldStates + 27*oldStates*oldStates); carried != want {
+		t.Fatalf("enumerated %d carried inputs, want %d", carried, want)
 	}
 }

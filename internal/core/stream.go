@@ -93,11 +93,9 @@ type StreamOptions struct {
 	// Step (merge, loosen, pin, chop, idle-slot moves).
 	Tracer obs.Tracer
 	// StepCache, when non-nil, memoizes whole merge + delay + chop push
-	// iterations keyed by structural fingerprints (see stepcache.go). The
-	// live window's layout is canonical by construction — carried suffix
-	// first in ascending stream-ID order, then the pushed block — so every
-	// push is cacheable (tracer-attached pushes bypass, to keep per-pass
-	// events). Results are bit-identical with and without it.
+	// iterations keyed by a hash of each push's step input (see
+	// stepcache.go). A Tracer turns it off, to keep per-pass events.
+	// Results are bit-identical with and without it.
 	StepCache *StepCache
 }
 

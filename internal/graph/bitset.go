@@ -35,20 +35,6 @@ func (b Bitset) IntersectWith(o Bitset) {
 	}
 }
 
-// Intersects reports whether b and o share any set bit.
-func (b Bitset) Intersects(o Bitset) bool {
-	n := len(b)
-	if len(o) < n {
-		n = len(o)
-	}
-	for i := 0; i < n; i++ {
-		if b[i]&o[i] != 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // Count returns the number of set bits.
 func (b Bitset) Count() int {
 	n := 0

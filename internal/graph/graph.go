@@ -135,9 +135,6 @@ func (g *Graph) SetExec(id NodeID, exec int) {
 	g.nodes[id].Exec = exec
 }
 
-// SetClass reassigns the functional-unit class of a node.
-func (g *Graph) SetClass(id NodeID, class int) { g.nodes[id].Class = class }
-
 // Out returns the outgoing edges of id (shared slice; callers must not mutate).
 func (g *Graph) Out(id NodeID) []Edge { return g.out[id] }
 

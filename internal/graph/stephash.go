@@ -73,14 +73,6 @@ func (h *Hasher) Word(v uint64) {
 // the caller's encoding discipline).
 func (h *Hasher) Int(v int) { h.Word(uint64(int64(v))) }
 
-// Hash128 absorbs a previously computed 128-bit sum as two words, so derived
-// keys (a step key folding in a carried-suffix fingerprint) compose without
-// re-hashing the underlying content.
-func (h *Hasher) Hash128(v Hash128) {
-	h.Word(v.Lo)
-	h.Word(v.Hi)
-}
-
 // Sum finalizes the hash without disturbing the state: more words may be
 // absorbed afterwards, and Sum called again. Both output words depend on
 // both lanes and the word count, so prefixes never collide with their

@@ -155,17 +155,11 @@ func scheduleAndDrop(gp *graph.Graph, m *machine.Machine, dummy graph.NodeID, bs
 	return order, nil
 }
 
-// Candidates enumerates the §5.2.3 general-case candidates: every target of
-// a loop-carried edge as a single-source candidate, and every source of a
+// candidatesLI enumerates the §5.2.3 general-case candidates: every target
+// of a loop-carried edge as a single-source candidate, and every source of a
 // loop-carried edge as a single-sink candidate. For graphs whose latencies
 // are all ≤ 1 the paper's compile-time reduction applies: only G_li sources
-// (resp. sinks) need be considered.
-func Candidates(g *graph.Graph) (sources, sinks []graph.NodeID) {
-	return candidatesLI(g, nil)
-}
-
-// candidatesLI is Candidates with an optional precomputed loop-independent
-// subgraph (computed on demand when nil).
+// (resp. sinks) need be considered; li is g's loop-independent subgraph.
 func candidatesLI(g, li *graph.Graph) (sources, sinks []graph.NodeID) {
 	n := g.Len()
 	// Dense membership sets — node IDs are compact, so []bool beats maps on
@@ -185,9 +179,6 @@ func candidatesLI(g, li *graph.Graph) (sources, sinks []graph.NodeID) {
 		}
 	}
 	if maxLat <= 1 {
-		if li == nil {
-			li = g.LoopIndependent()
-		}
 		liSources := make([]bool, n)
 		for _, s := range li.Sources() {
 			liSources[s] = true

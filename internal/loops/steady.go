@@ -22,16 +22,10 @@ import (
 	"aisched/internal/sched"
 )
 
-// BodySchedule computes the intra-iteration schedule of a loop body for a
+// bodyScheduleLI computes the intra-iteration schedule of a loop body for a
 // given static order: the greedy schedule over the loop-independent
-// subgraph.
-func BodySchedule(g *graph.Graph, m *machine.Machine, order []graph.NodeID) (*sched.Schedule, error) {
-	return bodyScheduleLI(g, g.LoopIndependent(), m, order)
-}
-
-// bodyScheduleLI is BodySchedule with the loop-independent subgraph supplied
-// by the caller, so candidate evaluations can share one instead of
-// rebuilding it per order.
+// subgraph li, which the caller supplies so candidate evaluations can share
+// one instead of rebuilding it per order.
 func bodyScheduleLI(g, li *graph.Graph, m *machine.Machine, order []graph.NodeID) (*sched.Schedule, error) {
 	s, err := sched.ListSchedule(li, m, order)
 	if err != nil {

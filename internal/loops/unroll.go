@@ -55,14 +55,15 @@ func Unroll(g *graph.Graph, k int) (*graph.Graph, []graph.NodeID, error) {
 	return out, origin, nil
 }
 
-// UnrollAndSchedule unrolls the loop k times, runs the §5.2 general-case
-// scheduler on the unrolled body, and reports the steady state normalized
-// per ORIGINAL iteration: cycles/original-iteration = II / k.
+// UnrolledSteady is the result of UnrollAndSchedule: the steady state of the
+// body it chose, normalized per ORIGINAL iteration by PerIteration.
 type UnrolledSteady struct {
+	// K is the unroll factor of the chosen body: the requested factor, or 1
+	// when the un-unrolled loop is faster.
 	K int
-	// Steady is the unrolled body's steady state (II is per k iterations).
+	// Steady is the chosen body's steady state (II is per K iterations).
 	Steady *Steady
-	// Origin maps unrolled node → original node.
+	// Origin maps body node → original node.
 	Origin []graph.NodeID
 }
 
@@ -72,9 +73,12 @@ func (u *UnrolledSteady) PerIteration() float64 {
 }
 
 // UnrollAndSchedule applies Unroll then ScheduleSingleBlockLoop to the
-// unrolled body. The un-unrolled general-case solution repeated k times is
-// always included as a candidate, so unrolling can never lose to not
-// unrolling.
+// unrolled body. The un-unrolled general-case order repeated k times is a
+// candidate too. It can still lose: the unrolled body's periodic model
+// re-evaluates the repeated order, and its II can exceed k times the base
+// II. When k·II of the un-unrolled solution beats the unrolled II, that
+// solution is returned as is (K = 1, identity Origin), so unrolling never
+// loses to not unrolling.
 func UnrollAndSchedule(g *graph.Graph, m *machine.Machine, k int) (*UnrolledSteady, error) {
 	ug, origin, err := Unroll(g, k)
 	if err != nil {
@@ -101,6 +105,13 @@ func UnrollAndSchedule(g *graph.Graph, m *machine.Machine, k int) (*UnrolledStea
 		}
 		if rep.II < st.II || (rep.II == st.II && rep.Makespan < st.Makespan) {
 			st = rep
+		}
+		if k*base.II < st.II {
+			identity := make([]graph.NodeID, g.Len())
+			for v := range identity {
+				identity[v] = graph.NodeID(v)
+			}
+			return &UnrolledSteady{K: 1, Steady: base, Origin: identity}, nil
 		}
 	}
 	return &UnrolledSteady{K: k, Steady: st, Origin: origin}, nil

@@ -87,6 +87,38 @@ func TestUnrollSteadyStateNeverWorsePerIteration(t *testing.T) {
 	}
 }
 
+// TestUnrollNeverLosesToBase is the reproducer of a property failure: the
+// base order repeated twice reaches II 8 in the unrolled body's periodic
+// model (4.0 per iteration) against the base loop's II 3.
+func TestUnrollNeverLosesToBase(t *testing.T) {
+	g := graph.New(3)
+	for i := 0; i < 3; i++ {
+		g.AddUnit("n")
+	}
+	g.MustEdge(0, 1, 1, 0)
+	g.MustEdge(1, 2, 1, 0)
+	g.MustEdge(1, 1, 2, 1)
+	m := machine.SingleUnit(8)
+	base, err := ScheduleSingleBlockLoop(g, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if base.II != 3 {
+		t.Fatalf("base II = %d, want 3", base.II)
+	}
+	u, err := UnrollAndSchedule(g, m, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if per := u.PerIteration(); per > float64(base.II) {
+		t.Fatalf("unrolled ×2: %.2f cycles per iteration, base %d", per, base.II)
+	}
+	if len(u.Origin) != u.K*g.Len() || len(u.Steady.Order) != len(u.Origin) {
+		t.Fatalf("K=%d with %d origins and a %d-node order for a %d-node loop",
+			u.K, len(u.Origin), len(u.Steady.Order), g.Len())
+	}
+}
+
 func TestPropertyUnrollPreservesSemanticsOfII(t *testing.T) {
 	// The unrolled body's best II per original iteration never exceeds the
 	// original's best II (unrolling only adds freedom) and respects the

@@ -64,8 +64,8 @@ var ScheduleMetrics = &MetricSet{
 	bytes:      metrics.Default.NewGauge("aisched_memo_resident_bytes", "approximate resident bytes of memoized schedule results"),
 }
 
-// StepMetrics instruments the per-block step caches (internal/core): the hit
-// and relocation path of the fragment replay plane.
+// StepMetrics instruments the per-block step caches (internal/core), whose
+// hits replay relocatable fragments.
 var StepMetrics = &MetricSet{
 	hits:       metrics.Default.NewCounter("aisched_stepcache_hits_total", "step-cache lookups served by fragment replay"),
 	misses:     metrics.Default.NewCounter("aisched_stepcache_misses_total", "step-cache lookups that ran the full merge step"),

@@ -219,9 +219,10 @@ func TestStepCacheHitAllocBudget(t *testing.T) {
 }
 
 // FuzzStepCache: for arbitrary decoded multi-block restricted instances, the
-// streamed schedule is bit-identical with the step cache on and off at every
-// lookahead, and at unbounded lookahead bit-identical to ScheduleTrace. Bytes
-// beyond the instance choose k.
+// batch schedule is bit-identical with the step cache off and on, cold and
+// warm in one shared cache; the streamed schedule is bit-identical with the
+// step cache on and off at every lookahead, and at unbounded lookahead
+// bit-identical to ScheduleTrace. Bytes beyond the instance choose k.
 func FuzzStepCache(f *testing.F) {
 	f.Add([]byte{0, 5, 0, 1, 0, 1, 0, 0x80, 2, 1, 3}, byte(0))
 	f.Add([]byte{3, 9, 0, 1, 1, 0, 1, 0, 1, 0, 0, 1, 5, 0x82, 7}, byte(1))
@@ -231,6 +232,29 @@ func FuzzStepCache(f *testing.F) {
 		if g == nil {
 			return
 		}
+		// The trace memo is off on both sides, so every call walks the
+		// blocks and only the step cache differs.
+		off := NewScheduler(SchedulerOptions{CacheCapacity: -1, StepCacheCapacity: -1})
+		on := NewScheduler(SchedulerOptions{CacheCapacity: -1})
+		wantTrace, err := off.ScheduleTrace(g, m)
+		if err != nil {
+			t.Fatalf("uncached ScheduleTrace: %v", err)
+		}
+		var cold CacheCounters
+		for pass := 0; pass < 2; pass++ {
+			got, err := on.ScheduleTrace(g, m)
+			if err != nil {
+				t.Fatalf("cached ScheduleTrace pass %d: %v", pass, err)
+			}
+			sameTraceResult(t, fmt.Sprintf("batch pass %d", pass), got, wantTrace)
+			if pass == 0 {
+				cold = on.StepCacheCounters()
+			}
+		}
+		if warm := on.StepCacheCounters(); warm.Misses != cold.Misses || warm.Hits-cold.Hits != cold.Hits+cold.Misses {
+			t.Fatalf("warm batch pass: %+v after cold %+v, want every step replayed", warm, cold)
+		}
+
 		k := int(kb) % 3
 		if k == 2 {
 			k = LookaheadUnbounded
