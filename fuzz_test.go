@@ -163,6 +163,33 @@ func TestWindowRealizabilityRegression(t *testing.T) {
 	}
 }
 
+// restrictedReplayRegression decodes to a W=3, 15-node restricted trace on
+// which the merge predicted a 15-cycle execution that the window, running
+// the emitted static order, completes at 16 (EXPERIMENTS.md E2).
+const restrictedReplayRegression = "1700000000100101078\xc4c\xf27"
+
+// TestRestrictedReplayRegression: the merge's realizability check replays
+// the prediction's static order on the window machine, so the emitted
+// schedule is Definition 2.3-legal and its makespan is the simulated
+// completion (16).
+func TestRestrictedReplayRegression(t *testing.T) {
+	g, m := decodeInstance([]byte(restrictedReplayRegression), true)
+	res, err := ScheduleTrace(g, m)
+	if err != nil {
+		t.Fatalf("ScheduleTrace: %v", err)
+	}
+	if err := CheckLegal(res.S, m.Window); err != nil {
+		t.Fatalf("illegal trace schedule: %v", err)
+	}
+	sim, err := hw.SimulateTrace(g, m, res.StaticOrder())
+	if err != nil {
+		t.Fatalf("simulate: %v", err)
+	}
+	if sim.Completion != res.Makespan() || sim.Completion != 16 {
+		t.Fatalf("predicted %d, simulated %d, want both 16", res.Makespan(), sim.Completion)
+	}
+}
+
 // FuzzScheduleTrace: multi-block restricted instances through Algorithm
 // Lookahead, checked against the per-block baseline under the window
 // simulator.
@@ -178,6 +205,9 @@ func FuzzScheduleTrace(f *testing.F) {
 	// idle slot and predicted an execution the W=2 window could not reach,
 	// losing 2 cycles to the baseline (13 vs 11).
 	f.Add([]byte("0A00000010000\x809\x80$71\x819\x81$\x820\x830\x86(()aA(a"))
+	// TestRestrictedReplayRegression's instance: the window-realizability
+	// pre-check accepted a prediction the window does not execute.
+	f.Add([]byte(restrictedReplayRegression))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g, m := decodeInstance(data, true)
 		if g == nil {

@@ -3,12 +3,14 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
 	"aisched/internal/graph"
 	"aisched/internal/idle"
 	"aisched/internal/machine"
+	"aisched/internal/obs"
 	"aisched/internal/rank"
 	"aisched/internal/sched"
 )
@@ -153,10 +155,11 @@ func referenceLookahead(g *graph.Graph, m *machine.Machine, opt Options) (*Resul
 			}
 		}
 		// Window-realizability repair, mirroring Step.Run: in the restricted
-		// model, if the predicted execution is unreachable from the static
-		// order under the anchored W-window, redo the merge with old deadlines
-		// pinned to carried finish times.
-		if referenceRestricted(sub, m) && !referenceWindowRealizable(s, sub, m.Window) {
+		// model, if the window does not execute the predicted starts from the
+		// static order, redo the merge with old deadlines pinned to carried
+		// finish times; if the window rejects that too, adopt what it does
+		// with the first merge's order.
+		if referenceRestricted(sub, m) && !referenceRealizable(s, sub, m.Window, rel) {
 			dSave := append([]int(nil), d...)
 			sSave := s
 			for si := 0; si < sub.Len(); si++ {
@@ -176,8 +179,15 @@ func referenceLookahead(g *graph.Graph, m *machine.Machine, opt Options) (*Resul
 					return nil, err
 				}
 			}
-			if referenceWindowRealizable(s2, sub, m.Window) {
+			if referenceRealizable(s2, sub, m.Window, rel) {
 				s = s2
+			} else if issue, ok := referenceReplay(sSave, sub, m.Window, rel); ok {
+				s = sSave.Clone()
+				copy(d, dSave)
+				for v, t := range issue {
+					s.Start[v] = t
+					d[v] = max(d[v], t+1)
+				}
 			} else {
 				s = sSave
 				copy(d, dSave)
@@ -250,16 +260,18 @@ func referenceRestricted(sub *graph.Graph, m *machine.Machine) bool {
 	return true
 }
 
-// referenceWindowRealizable is the naive mirror of Step.windowRealizable:
-// every node must lie within w static positions of the statically-oldest
-// instruction still unissued at its start time.
-func referenceWindowRealizable(s *sched.Schedule, sub *graph.Graph, w int) bool {
+// referenceReplay is a naive cycle-by-cycle run of s's static order (blocks
+// in order, each block's nodes by start) on a single-unit W-window with unit
+// execution times: each cycle the first ready instruction among the w
+// statically oldest unissued ones issues, where ready means every producer
+// has issued, its finish plus latency has passed, and so has the node's
+// release rel. It returns each node's issue cycle, or false when the window
+// deadlocks.
+func referenceReplay(s *sched.Schedule, sub *graph.Graph, w int, rel []int) ([]int, bool) {
 	n := sub.Len()
 	static := make([]graph.NodeID, n)
-	byTime := make([]graph.NodeID, n)
-	for i := 0; i < n; i++ {
+	for i := range static {
 		static[i] = graph.NodeID(i)
-		byTime[i] = graph.NodeID(i)
 	}
 	sort.Slice(static, func(i, j int) bool {
 		a, b := static[i], static[j]
@@ -268,22 +280,46 @@ func referenceWindowRealizable(s *sched.Schedule, sub *graph.Graph, w int) bool 
 		}
 		return s.Start[a] < s.Start[b]
 	})
-	pos := make([]int, n)
-	for i, id := range static {
-		pos[id] = i
-	}
-	sort.Slice(byTime, func(i, j int) bool { return s.Start[byTime[i]] < s.Start[byTime[j]] })
-	minPos := n
-	for i := n - 1; i >= 0; i-- {
-		p := pos[byTime[i]]
-		if p < minPos {
-			minPos = p
+	preds := make([][]graph.Edge, n)
+	limit := 3*n + 3
+	for v := 0; v < n; v++ {
+		for _, e := range sub.Out(graph.NodeID(v)) {
+			preds[e.Dst] = append(preds[e.Dst], e)
 		}
-		if p-minPos >= w {
-			return false
+		limit += max(rel[v], 0)
+	}
+	issue := make([]int, n)
+	for i := range issue {
+		issue[i] = -1
+	}
+	for t, done := 0, 0; done < n; t++ {
+		if t > limit {
+			return nil, false
+		}
+		head := 0
+		for issue[static[head]] >= 0 {
+			head++
+		}
+		for _, v := range static[head:min(head+w, n)] {
+			ready := issue[v] < 0 && t >= rel[v]
+			for _, e := range preds[v] {
+				ready = ready && issue[e.Src] >= 0 && issue[e.Src]+1+e.Latency <= t
+			}
+			if ready {
+				issue[v] = t
+				done++
+				break
+			}
 		}
 	}
-	return true
+	return issue, true
+}
+
+// referenceRealizable reports whether referenceReplay issues every node at
+// its predicted start.
+func referenceRealizable(s *sched.Schedule, sub *graph.Graph, w int, rel []int) bool {
+	issue, ok := referenceReplay(s, sub, w, rel)
+	return ok && slices.Equal(issue, s.Start)
 }
 
 // referenceChop is chop with the original per-slot linear rescan of the
@@ -361,33 +397,109 @@ func TestDifferentialLookaheadMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: optimized: %v", seed, err)
 		}
-		if fmt.Sprint(got.Order) != fmt.Sprint(want.Order) {
-			t.Fatalf("seed %d on %s: orders differ\n got %v\n want %v",
-				seed, cs.m.Name, got.Order, want.Order)
+		assertSameResult(t, fmt.Sprintf("seed %d on %s", seed, cs.m.Name), g, got, want)
+	}
+}
+
+// assertSameResult fails unless the two Lookahead results agree on order,
+// per-node start and unit, and per-block orders.
+func assertSameResult(t *testing.T, label string, g *graph.Graph, got, want *Result) {
+	t.Helper()
+	if fmt.Sprint(got.Order) != fmt.Sprint(want.Order) {
+		t.Fatalf("%s: orders differ\n got %v\n want %v", label, got.Order, want.Order)
+	}
+	for v := 0; v < g.Len(); v++ {
+		if got.S.Start[v] != want.S.Start[v] || got.S.Unit[v] != want.S.Unit[v] {
+			t.Fatalf("%s: schedule differs at node %d: (%d,%d) vs (%d,%d)",
+				label, v, got.S.Start[v], got.S.Unit[v], want.S.Start[v], want.S.Unit[v])
 		}
-		for v := 0; v < g.Len(); v++ {
-			if got.S.Start[v] != want.S.Start[v] || got.S.Unit[v] != want.S.Unit[v] {
-				t.Fatalf("seed %d on %s: schedule differs at node %d: (%d,%d) vs (%d,%d)",
-					seed, cs.m.Name, v, got.S.Start[v], got.S.Unit[v], want.S.Start[v], want.S.Unit[v])
+	}
+	var gb, wb []int
+	for b := range got.BlockOrders {
+		gb = append(gb, b)
+	}
+	for b := range want.BlockOrders {
+		wb = append(wb, b)
+	}
+	sort.Ints(gb)
+	sort.Ints(wb)
+	if fmt.Sprint(gb) != fmt.Sprint(wb) {
+		t.Fatalf("%s: block sets differ: %v vs %v", label, gb, wb)
+	}
+	for _, b := range gb {
+		if fmt.Sprint(got.BlockOrders[b]) != fmt.Sprint(want.BlockOrders[b]) {
+			t.Fatalf("%s: block %d orders differ\n got %v\n want %v",
+				label, b, got.BlockOrders[b], want.BlockOrders[b])
+		}
+	}
+}
+
+// TestDifferentialRestrictedRepairMatchesReference runs the realizability
+// repair against referenceLookahead's naive replay in the restricted model
+// (one unit, unit exec, 0/1 latencies), where it is active. The fixed
+// instances are fuzz-decoder traces that enter it: the first is confirmed by
+// the deadline-pinned re-merge, the other three fall back to the first
+// merge's replayed execution.
+func TestDifferentialRestrictedRepairMatchesReference(t *testing.T) {
+	fixed := []struct {
+		w      int
+		blocks []int
+		edges  [][3]int // src, dst, latency
+	}{
+		{3, []int{0, 0, 0, 1, 2, 2}, [][3]int{{0, 1, 1}, {1, 2, 1}, {2, 5, 0}, {3, 5, 0}, {4, 5, 1}}},
+		{3, []int{1, 2, 3, 4, 4, 5}, [][3]int{{0, 1, 1}, {0, 5, 0}, {1, 2, 1}, {2, 4, 0}, {3, 4, 0}}},
+		{3, []int{1, 1, 1, 2, 2, 3, 4, 5}, [][3]int{{0, 1, 1}, {0, 5, 0}, {1, 5, 0}, {1, 2, 1}, {2, 3, 0}}},
+		{3, []int{1, 2, 3, 4, 5, 6}, [][3]int{{0, 2, 0}, {0, 1, 1}, {0, 5, 1}, {1, 2, 1}, {1, 4, 0},
+			{2, 4, 1}, {3, 5, 0}, {3, 4, 1}}},
+	}
+	run := func(label string, g *graph.Graph, m *machine.Machine, wantPin bool) {
+		for _, skip := range []bool{false, true} {
+			opt := Options{SkipDelay: skip}
+			want, err := referenceLookahead(g, m, opt)
+			if err != nil {
+				t.Fatalf("%s: reference: %v", label, err)
+			}
+			rec := obs.NewRecorder()
+			opt.Tracer = rec
+			got, err := LookaheadOpts(g, m, opt)
+			if err != nil {
+				t.Fatalf("%s: optimized: %v", label, err)
+			}
+			assertSameResult(t, label, g, got, want)
+			pinned := slices.ContainsFunc(rec.Events(), func(e obs.Event) bool {
+				return e.Kind == obs.KindMergePin
+			})
+			if wantPin && !skip && !pinned {
+				t.Fatalf("%s: the repair did not run", label)
 			}
 		}
-		var gb, wb []int
-		for b := range got.BlockOrders {
-			gb = append(gb, b)
+	}
+	for i, c := range fixed {
+		g := graph.New(len(c.blocks))
+		for v, b := range c.blocks {
+			g.AddNode(fmt.Sprintf("n%d", v), 1, 0, b)
 		}
-		for b := range want.BlockOrders {
-			wb = append(wb, b)
+		for _, e := range c.edges {
+			g.MustEdge(graph.NodeID(e[0]), graph.NodeID(e[1]), e[2], 0)
 		}
-		sort.Ints(gb)
-		sort.Ints(wb)
-		if fmt.Sprint(gb) != fmt.Sprint(wb) {
-			t.Fatalf("seed %d: block sets differ: %v vs %v", seed, gb, wb)
+		run(fmt.Sprintf("fixed %d", i), g, machine.SingleUnit(c.w), true)
+	}
+	for seed := int64(0); seed < 300; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		n := 4 + r.Intn(16)
+		g := graph.New(n)
+		blk := 0
+		for v := 0; v < n; v++ {
+			blk += r.Intn(2)
+			g.AddNode(fmt.Sprintf("n%d", v), 1, 0, blk)
 		}
-		for _, b := range gb {
-			if fmt.Sprint(got.BlockOrders[b]) != fmt.Sprint(want.BlockOrders[b]) {
-				t.Fatalf("seed %d: block %d orders differ\n got %v\n want %v",
-					seed, b, got.BlockOrders[b], want.BlockOrders[b])
+		for u := 0; u < n; u++ {
+			for v := u + 1; v < n; v++ {
+				if r.Float64() < 0.2 {
+					g.MustEdge(graph.NodeID(u), graph.NodeID(v), r.Intn(2), 0)
+				}
 			}
 		}
+		run(fmt.Sprintf("seed %d", seed), g, machine.SingleUnit(2+r.Intn(4)), false)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"slices"
 
 	"aisched/internal/graph"
+	"aisched/internal/hw"
 	"aisched/internal/idle"
 	"aisched/internal/machine"
 	"aisched/internal/obs"
@@ -31,10 +32,10 @@ type Step struct {
 
 	chop chopScratch
 
-	// windowRealizable's scratch.
-	wStatic []graph.NodeID
-	wByTime []graph.NodeID
-	wPos    []int
+	// The restricted model's replay: the window machine and the static
+	// order it runs.
+	win    hw.Kernel
+	static []graph.NodeID
 
 	// Step-cache state (stepcache.go): the key hasher and the replay
 	// scratch a cache hit materializes into.
@@ -93,8 +94,9 @@ type StepOut struct {
 	// schedule-permutation order; Base is the chop time base.
 	Minus, Plus []graph.NodeID
 	Base        int
-	// Repaired reports that the deadline-pinned re-merge replaced an
-	// unrealizable first merge (see windowRealizable).
+	// Repaired reports that the window replay rejected the first merge and
+	// S replaced it: the deadline-pinned re-merge when the replay confirms
+	// that, else the first merge's replayed execution (see Run).
 	Repaired bool
 }
 
@@ -185,17 +187,19 @@ func (st *Step) Run(in *StepIn) (StepOut, error) {
 	// predicting an execution the W-window hardware cannot reach from the
 	// emitted static order. In the restricted model (single unit, unit
 	// execution times, 0/1 latencies — where the paper's optimality claim
-	// and the ±1-vs-baseline fuzz property live, and where window
-	// reachability is exactly achievability) verify the prediction against
-	// the anchored window and, on failure, redo the merge with every old
-	// deadline pinned to its carried finish time: old keeps its carried
-	// arrangement, new fills genuine idle slots only. Outside the restricted
+	// and the ±1-vs-baseline fuzz property live) replay the prediction's
+	// static order on the window machine and, when it does not issue every
+	// node at its predicted start, redo the merge with every old deadline
+	// pinned to its carried finish time: old keeps its carried arrangement,
+	// new fills genuine idle slots only. When the replay rejects that too,
+	// adopt the replayed starts of the first merge's order — the one-unit
+	// replay is deterministic, so they are what the window does with it —
+	// and raise each deadline to its replayed finish. Outside the restricted
 	// model greedy hardware deviates from any prediction (latency stalls
-	// reorder the window), so the check would chase a condition that no
-	// longer implies the simulated completion — the heuristic regime keeps
-	// the paper's §4.2 behavior unchanged.
+	// reorder the window), so the heuristic regime keeps the paper's §4.2
+	// behavior unchanged.
 	repaired := false
-	if st.restrictedModel(in) && !st.windowRealizable(s, view, in.M.Window) {
+	if st.restrictedModel(in) && !st.realizable(s, in) {
 		if tr != nil {
 			tr.Emit(obs.Event{Kind: obs.KindMergePin, Block: in.Block,
 				Node: graph.None, N: s.Makespan()})
@@ -219,9 +223,17 @@ func (st *Step) Run(in *StepIn) (StepOut, error) {
 				return StepOut{}, err
 			}
 		}
-		if st.windowRealizable(s2, view, in.M.Window) {
+		switch {
+		case st.realizable(s2, in):
 			s, repaired = s2, true
-		} else {
+		case st.simulate(sSave, in):
+			s, repaired = sSave.Clone(), true
+			copy(d, dSave)
+			for i, v := range st.static {
+				s.Start[v] = st.win.Issued(i)
+				d[v] = max(d[v], s.Finish(v))
+			}
+		default:
 			s = sSave
 			copy(d, dSave)
 		}
@@ -315,8 +327,8 @@ func (st *Step) mergeRounds(in *StepIn, d []int, repin bool) (*sched.Schedule, e
 
 // restrictedModel reports whether the view is an instance of the paper's
 // restricted model: one functional unit, unit execution times, and 0/1
-// latencies. This is the regime with provable guarantees — and the only one
-// where windowRealizable's reachability is the same thing as achievability.
+// latencies. This is the regime with provable guarantees, and the one where
+// the window replay is deterministic from the prediction's static order.
 func (st *Step) restrictedModel(in *StepIn) bool {
 	if in.M.TotalUnits() != 1 || in.View.MaxLat > 1 {
 		return false
@@ -329,51 +341,43 @@ func (st *Step) restrictedModel(in *StepIn) bool {
 	return true
 }
 
-// windowRealizable reports whether the anchored lookahead window of size w
-// can execute the schedule's permutation from its static order (the
-// per-block subpermutations concatenated in block order, Definition 2.3's
-// priority list). The window holds w consecutive static positions anchored
-// at the oldest unissued instruction, so x can issue at time t only if
-// fewer than w instructions that are statically before x are still unissued
-// at t — equivalently pos(x) − min{pos(y) : start(y) ≥ start(x)} < w. The
-// check is exact for the single-unit model (one issue per cycle, distinct
-// start times); chop runs after it, so a committed prefix is never part of
-// an unrealizable prediction.
-func (st *Step) windowRealizable(s *sched.Schedule, view graph.AdjView, w int) bool {
-	n := view.N
-	st.wStatic = growSlice(st.wStatic, n)
-	st.wByTime = growSlice(st.wByTime, n)
-	st.wPos = growSlice(st.wPos, n)
-	static := st.wStatic
-	byTime := st.wByTime
-	pos := st.wPos
-	for i := 0; i < n; i++ {
-		static[i] = graph.NodeID(i)
-		byTime[i] = graph.NodeID(i)
+// simulate runs s's static order — the view's blocks in order, each block's
+// nodes by predicted start (Definition 2.3's priority list) — on the window
+// machine of internal/hw, with the view's edges and the iteration's release
+// floors. It reports whether the machine ran the order: a producer that
+// trails its consumer by W or more positions deadlocks it. The issue cycles
+// stay in st.win, by position of st.static.
+func (st *Step) simulate(s *sched.Schedule, in *StepIn) bool {
+	view := in.View
+	st.static = growSlice(st.static, view.N)
+	for i := range st.static {
+		st.static[i] = graph.NodeID(i)
 	}
-	// Static order: block-major, start-minor. Starts are distinct on a
-	// single unit, so both comparators are total orders.
-	slices.SortFunc(static, func(a, b graph.NodeID) int {
+	// Starts are distinct on a single unit, so this is a total order.
+	slices.SortFunc(st.static, func(a, b graph.NodeID) int {
 		if view.Block[a] != view.Block[b] {
 			return int(view.Block[a]) - int(view.Block[b])
 		}
 		return s.Start[a] - s.Start[b]
 	})
-	for i, id := range static {
-		pos[id] = i
+	var rel []int
+	if in.ROld != nil {
+		rel = st.rel
 	}
-	slices.SortFunc(byTime, func(a, b graph.NodeID) int {
-		return s.Start[a] - s.Start[b]
-	})
-	// Walking issue order backwards, minPos is the static position of the
-	// oldest instruction unissued at byTime[i]'s start — the window anchor.
-	minPos := n
-	for i := n - 1; i >= 0; i-- {
-		p := pos[byTime[i]]
-		if p < minPos {
-			minPos = p
-		}
-		if p-minPos >= w {
+	st.win.LoadView(view, st.static, rel)
+	_, err := st.win.Run(in.M)
+	return err == nil
+}
+
+// realizable reports whether the window machine, running s's static order,
+// issues every node at its predicted start. Chop runs after the check, so
+// a committed prefix is never part of a prediction the replay rejected.
+func (st *Step) realizable(s *sched.Schedule, in *StepIn) bool {
+	if !st.simulate(s, in) {
+		return false
+	}
+	for i, v := range st.static {
+		if st.win.Issued(i) != s.Start[v] {
 			return false
 		}
 	}

@@ -28,7 +28,8 @@ package core
 //   - the positive release floors as (view ID, floor) pairs.
 //
 // Block numbers enter only relative to the current block: Step.Run reads
-// them only through windowRealizable's order comparisons, so the same block
+// them only through the realizability replay's static-order sort
+// (block-major, start-minor), so the same block
 // structure at a different trace or stream position shares a key, and the
 // key stays exact for any node layout — including traces whose node IDs
 // interleave blocks.

@@ -10,33 +10,30 @@
 // completion time those orders achieve on a machine with lookahead W —
 // including the cross-block overlap that anticipatory scheduling targets,
 // and optional branch misprediction rollback.
+//
+// Every window replay in the repository runs on one loop, Kernel: the
+// simulations here build their dynamic stream for it, the exact solver
+// (internal/opt) replays order prefixes on it, and the lookahead step
+// (internal/core) checks its restricted-model predictions with it.
 package hw
 
 import (
 	"fmt"
 	"sync"
 
-	"aisched/internal/faultinject"
 	"aisched/internal/graph"
 	"aisched/internal/machine"
 	"aisched/internal/obs"
 )
 
-// simScratch pools the simulator's per-call working buffers (permutation
-// check, dynamic stream, position index, finish times, unit clocks) so
-// repeated simulations — the experiment sweeps run thousands — stay
-// allocation-light. issued and the Result escape to the caller and are
-// always freshly allocated.
+// simScratch pools the simulations' per-call working buffers (permutation
+// check, position index, replay kernel) so repeated simulations — the
+// experiment sweeps run thousands — stay allocation-light. The Result and
+// its Issued slice escape to the caller and are always freshly allocated.
 type simScratch struct {
-	seen     []bool
-	stream   []instance
-	pos      []int // flat [node*iters+iter] position index
-	finish   []int
-	unitFree []int
-	// pending mirrors issued: bit i set ⇔ stream position i has not issued.
-	// The window scans (issue pass, no-progress pass, head advance, occupancy)
-	// run word-parallel over it instead of walking issued linearly.
-	pending graph.Bitset
+	seen []bool
+	pos  []int // flat [node*iters+iter] position index
+	k    Kernel
 }
 
 var simPool = sync.Pool{New: func() any { return new(simScratch) }}
@@ -62,13 +59,6 @@ type Options struct {
 	// never changes simulation results; a nil Tracer costs nothing on the
 	// hot path.
 	Tracer obs.Tracer
-}
-
-// instance is one dynamic instruction: a node of the body graph in a
-// specific iteration.
-type instance struct {
-	node graph.NodeID
-	iter int
 }
 
 // Result reports one simulation.
@@ -107,319 +97,99 @@ func SimulateLoop(g *graph.Graph, m *machine.Machine, order []graph.NodeID, iter
 
 // SteadyState estimates the asymptotic cycles-per-iteration of a loop under
 // the dynamic window model by simulating enough iterations for the pattern
-// to settle and differencing two long prefixes.
+// to settle and differencing two long prefixes. The shorter run is a replay
+// of a prefix of the longer run's stream.
 func SteadyState(g *graph.Graph, m *machine.Machine, order []graph.NodeID, opt Options) (float64, error) {
 	const warm, span = 16, 48
-	r1, err := SimulateLoop(g, m, order, warm, opt)
+	st := simPool.Get().(*simScratch)
+	defer st.release()
+	if err := st.load(g, order, warm+span, opt); err != nil {
+		return 0, err
+	}
+	st.extend(g, order, warm+span, 0, warm, opt)
+	c1, err := st.k.Run(m)
 	if err != nil {
 		return 0, err
 	}
-	r2, err := SimulateLoop(g, m, order, warm+span, opt)
+	st.extend(g, order, warm+span, warm, warm+span, opt)
+	c2, err := st.k.Run(m)
 	if err != nil {
 		return 0, err
 	}
-	return float64(r2.Completion-r1.Completion) / span, nil
+	return float64(c2-c1) / span, nil
 }
 
 func simulate(g *graph.Graph, m *machine.Machine, order []graph.NodeID, iters int, opt Options) (*Result, error) {
-	n := g.Len()
-	if len(order) != n {
-		return nil, fmt.Errorf("hw: order has %d entries for %d nodes", len(order), n)
-	}
 	st := simPool.Get().(*simScratch)
-	defer simPool.Put(st)
-	if cap(st.seen) < n {
-		st.seen = make([]bool, n)
-	}
-	seen := st.seen[:n]
-	for i := range seen {
-		seen[i] = false
-	}
-	for _, id := range order {
-		if id < 0 || int(id) >= n || seen[id] {
-			return nil, fmt.Errorf("hw: order is not a permutation")
-		}
-		seen[id] = true
-	}
-	if iters < 1 {
-		return nil, fmt.Errorf("hw: iters = %d < 1", iters)
-	}
-	if err := m.Validate(); err != nil {
+	defer st.release()
+	if err := st.load(g, order, iters, opt); err != nil {
 		return nil, err
 	}
-
-	// Build the dynamic stream and a flat position index pos[node*iters+iter].
-	if cap(st.stream) < n*iters {
-		st.stream = make([]instance, 0, n*iters)
+	st.extend(g, order, iters, 0, iters, opt)
+	completion, err := st.k.Run(m)
+	if err != nil {
+		return nil, err
 	}
-	stream := st.stream[:0]
-	if cap(st.pos) < n*iters {
-		st.pos = make([]int, n*iters)
-	}
-	pos := st.pos[:n*iters]
-	for k := 0; k < iters; k++ {
-		for _, id := range order {
-			pos[int(id)*iters+k] = len(stream)
-			stream = append(stream, instance{node: id, iter: k})
-		}
-	}
-	st.stream = stream
-	total := len(stream)
-	issued := make([]int, total)
-	if cap(st.finish) < total {
-		st.finish = make([]int, total)
-	}
-	finish := st.finish[:total]
+	issued := make([]int, len(st.k.pos))
 	for i := range issued {
-		issued[i] = -1
-		finish[i] = -1
+		issued[i] = st.k.Issued(i)
 	}
-	words := (total + 63) / 64
-	if cap(st.pending) < words {
-		st.pending = make(graph.Bitset, words)
-	}
-	pending := st.pending[:words]
-	for i := range pending {
-		pending[i] = 0
-	}
-	pending.SetRange(0, total)
-
-	w := m.Window
-	totalUnits := m.TotalUnits()
-	if cap(st.unitFree) < totalUnits {
-		st.unitFree = make([]int, totalUnits)
-	}
-	unitFree := st.unitFree[:totalUnits]
-	for i := range unitFree {
-		unitFree[i] = 0
-	}
-	rollbacks := 0
-	nextMispredict := opt.MispredictEvery // countdown in branch instances
-
-	head := 0
-	done := 0
-	// stallUntil blocks all issue before the given cycle (mispredict refill).
-	stallUntil := 0
-	tr := opt.Tracer
-	if tr != nil {
-		tr.Emit(obs.Event{Kind: obs.KindPassStart, Pass: obs.PassSimulate,
-			Block: -1, Node: graph.None, N: total})
-	}
-	// emitWindow reports window head/occupancy whenever either changes.
-	lastHead, lastOcc := -1, -1
-	emitWindow := func(t int) {
-		inWindow := head + w
-		if inWindow > total {
-			inWindow = total
-		}
-		occ := pending.CountRange(head, inWindow)
-		if head != lastHead || occ != lastOcc {
-			tr.Emit(obs.Event{Kind: obs.KindWindow, Cycle: t, From: head, N: occ,
-				Block: -1, Node: graph.None})
-			lastHead, lastOcc = head, occ
-		}
-	}
-	for t := 0; done < total; t++ {
-		if h := faultinject.SimStep; h != nil {
-			h()
-		}
-		if t < stallUntil {
-			if tr != nil {
-				for c := t; c < stallUntil; c++ {
-					tr.Emit(obs.Event{Kind: obs.KindStall, Cycle: c,
-						Reason: obs.RollbackRefill, Block: -1, Node: graph.None})
-				}
-			}
-			t = stallUntil - 1
-			continue
-		}
-		if tr != nil {
-			emitWindow(t)
-		}
-		progress := false
-		inWindow := head + w
-		if inWindow > total {
-			inWindow = total
-		}
-		for i := pending.NextSet(head); i >= 0 && i < inWindow; i = pending.NextSet(i + 1) {
-			ins := stream[i]
-			if !ready(g, m, opt, pos, iters, finish, ins, t) {
-				continue
-			}
-			base, count := unitRange(m, machine.UnitClass(g.Node(ins.node).Class))
-			if count == 0 {
-				return nil, fmt.Errorf("hw: node %d has class %d with no units",
-					ins.node, g.Node(ins.node).Class)
-			}
-			unit := -1
-			for u := base; u < base+count; u++ {
-				if unitFree[u] <= t {
-					unit = u
-					break
-				}
-			}
-			if unit < 0 {
-				continue
-			}
-			if tr != nil {
-				// Fill attribution: issuing past an earlier unissued
-				// instruction means this instruction fills an idle slot the
-				// effective head left behind; it is a cross-block fill when
-				// the overtaken instruction belongs to a different basic
-				// block or iteration — the anticipatory overlap the paper's
-				// schedules engineer.
-				nd := g.Node(ins.node)
-				fill, cross := false, false
-				if j := pending.NextSet(head); j >= 0 && j < i {
-					over := stream[j]
-					fill = true
-					cross = g.Node(over.node).Block != nd.Block || over.iter != ins.iter
-				}
-				tr.Emit(obs.Event{Kind: obs.KindIssue, Cycle: t, Pos: i,
-					Node: ins.node, Label: nd.Label, Block: nd.Block,
-					Iter: ins.iter, Unit: unit, N: nd.Exec, Fill: fill, Cross: cross})
-			}
-			issued[i] = t
-			pending.Clear(i)
-			finish[i] = t + g.Node(ins.node).Exec
-			unitFree[unit] = finish[i]
-			done++
-			progress = true
-			// Branch misprediction injection: roll back everything issued
-			// after this branch in stream order and stall.
-			if opt.MispredictEvery > 0 && g.Node(ins.node).Class == int(machine.ClassBranch) {
-				nextMispredict--
-				if nextMispredict <= 0 {
-					nextMispredict = opt.MispredictEvery
-					rollbacks++
-					squashed := 0
-					for j := i + 1; j < total; j++ {
-						if issued[j] >= 0 {
-							issued[j] = -1
-							pending.Set(j)
-							finish[j] = -1
-							done--
-							squashed++
-						}
-					}
-					// All units refill after the branch resolves.
-					stallUntil = finish[i] + opt.Penalty
-					for u := range unitFree {
-						if unitFree[u] < stallUntil {
-							unitFree[u] = stallUntil
-						}
-					}
-					if tr != nil {
-						tr.Emit(obs.Event{Kind: obs.KindRollback, Cycle: t, Pos: i,
-							Node: ins.node, Label: g.Node(ins.node).Label,
-							Block: g.Node(ins.node).Block, N: squashed, To: stallUntil})
-					}
-				}
-			}
-		}
-		// Advance the window head past the issued prefix.
-		if h := pending.NextSet(head); h >= 0 {
-			head = h
-		} else {
-			head = total
-		}
-		if tr != nil {
-			emitWindow(t)
-		}
-		if !progress {
-			// Jump to the next time anything can change.
-			next := -1
-			for i := pending.NextSet(head); i >= 0 && i < inWindow; i = pending.NextSet(i + 1) {
-				cand := earliestReady(g, m, opt, pos, iters, finish, stream[i])
-				base, count := unitRange(m, machine.UnitClass(g.Node(stream[i].node).Class))
-				uf := -1
-				for u := base; u < base+count; u++ {
-					if uf == -1 || unitFree[u] < uf {
-						uf = unitFree[u]
-					}
-				}
-				if uf > cand {
-					cand = uf
-				}
-				if next == -1 || cand < next {
-					next = cand
-				}
-			}
-			if next >= never/2 {
-				// Every window-resident instruction waits on a producer that
-				// is beyond the window: the stream order deadlocks the
-				// machine (a consumer precedes its producer by ≥ W).
-				return nil, fmt.Errorf("hw: stream deadlock at cycle %d (head %d, window %d)", t, head, w)
-			}
-			if next <= t {
-				next = t + 1
-			}
-			if tr != nil {
-				// Attribute every stalled cycle in [t, next). The reason can
-				// change inside the range (a producer completing makes a
-				// window instruction data-ready but its unit stays busy), so
-				// classify per cycle.
-				for c := t; c < next; c++ {
-					tr.Emit(obs.Event{Kind: obs.KindStall, Cycle: c, Block: -1,
-						Node: graph.None,
-						Reason: classifyStall(g, m, opt, pos, iters, finish, stream, issued,
-							unitFree, head, inWindow, total, w, c)})
-				}
-			}
-			t = next - 1
-		}
-	}
-	completion := 0
-	for _, f := range finish {
-		if f > completion {
-			completion = f
-		}
-	}
-	if tr != nil {
-		tr.Emit(obs.Event{Kind: obs.KindPassEnd, Pass: obs.PassSimulate,
-			Block: -1, Node: graph.None, N: completion})
-	}
-	return &Result{Completion: completion, Issued: issued, Rollbacks: rollbacks}, nil
+	return &Result{Completion: completion, Issued: issued, Rollbacks: st.k.rollbacks}, nil
 }
 
-// classifyStall attributes one issue-phase stall cycle to a StallReason.
-// Precedence: UnitBusy (a window-resident instruction is data-ready but its
-// class's units are all occupied) over WindowFull (nothing in the window can
-// issue, yet an instruction just beyond it is ready with a free unit — the
-// lookahead size W is the binding constraint) over HeadBlocked (the window
-// has already drained instructions past the head out of order and can no
-// longer slide) over DepWait (plain dependence wait). RollbackRefill cycles
-// are attributed at the emission site.
-func classifyStall(g *graph.Graph, m *machine.Machine, opt Options, pos []int,
-	iters int, finish []int, stream []instance, issued, unitFree []int,
-	head, inWindow, total, w, t int) obs.StallReason {
-	for i := head; i < inWindow; i++ {
-		if issued[i] >= 0 {
-			continue
+// load checks that order is a permutation of g's nodes, indexes the
+// dynamic stream of iters iterations — position k·n+i is instance
+// (order[i], k) — and empties the kernel for extend.
+func (st *simScratch) load(g *graph.Graph, order []graph.NodeID, iters int, opt Options) error {
+	n := g.Len()
+	if len(order) != n {
+		return fmt.Errorf("hw: order has %d entries for %d nodes", len(order), n)
+	}
+	st.seen = grow(st.seen, n)
+	clear(st.seen)
+	for _, id := range order {
+		if id < 0 || int(id) >= n || st.seen[id] {
+			return fmt.Errorf("hw: order is not a permutation")
 		}
-		if earliestReady(g, m, opt, pos, iters, finish, stream[i]) <= t {
-			return obs.UnitBusy
+		st.seen[id] = true
+	}
+	if iters < 1 {
+		return fmt.Errorf("hw: iters = %d < 1", iters)
+	}
+	st.pos = grow(st.pos, n*iters)
+	for k := 0; k < iters; k++ {
+		for i, id := range order {
+			st.pos[int(id)*iters+k] = k*n + i
 		}
 	}
-	if inWindow-head == w {
-		for j := inWindow; j < total; j++ {
-			if earliestReady(g, m, opt, pos, iters, finish, stream[j]) > t {
-				continue
-			}
-			base, count := unitRange(m, machine.UnitClass(g.Node(stream[j].node).Class))
-			for u := base; u < base+count; u++ {
-				if unitFree[u] <= t {
-					return obs.WindowFull
+	k := &st.k
+	k.Truncate(0)
+	k.g, k.order = g, order
+	k.tr, k.mispredictEvery, k.penalty = opt.Tracer, opt.MispredictEvery, opt.Penalty
+	return nil
+}
+
+// extend appends iterations [from, to) of the indexed stream to the
+// kernel. An edge (u, v) with distance d makes instance (u, k−d) a producer
+// of (v, k); instances with k−d < 0 are unconstrained (prologue).
+func (st *simScratch) extend(g *graph.Graph, order []graph.NodeID, iters, from, to int, opt Options) {
+	for k := from; k < to; k++ {
+		for _, v := range order {
+			nd := g.Node(v)
+			st.k.Add(nd.Exec, nd.Class, 0)
+			for _, e := range g.In(v) {
+				if p := k - e.Distance; p >= 0 && honored(g, opt, e) {
+					st.k.Dep(st.pos[int(e.Src)*iters+p], e.Latency)
 				}
 			}
 		}
 	}
-	for i := head + 1; i < inWindow; i++ {
-		if issued[i] >= 0 {
-			return obs.HeadBlocked
-		}
-	}
-	return obs.DepWait
+}
+
+// release drops the caller's graph and tracer and returns st to the pool.
+func (st *simScratch) release() {
+	st.k.g, st.k.order, st.k.tr = nil, nil, nil
+	simPool.Put(st)
 }
 
 // honored reports whether the simulator enforces edge e for this run.
@@ -431,51 +201,4 @@ func honored(g *graph.Graph, opt Options, e graph.Edge) bool {
 		return false // predicted branch: next iteration proceeds eagerly
 	}
 	return true
-}
-
-// ready reports whether instance ins can issue at cycle t.
-func ready(g *graph.Graph, m *machine.Machine, opt Options, pos []int, iters int, finish []int, ins instance, t int) bool {
-	return earliestReady(g, m, opt, pos, iters, finish, ins) <= t
-}
-
-// never marks an instance whose producer has not issued yet.
-const never = 1 << 30
-
-// earliestReady returns the earliest cycle at which ins's dependences allow
-// issue, or never if a producer has not issued yet.
-func earliestReady(g *graph.Graph, m *machine.Machine, opt Options, pos []int, iters int, finish []int, ins instance) int {
-	at := 0
-	for _, e := range g.In(ins.node) {
-		if !honored(g, opt, e) {
-			continue
-		}
-		k := ins.iter - e.Distance
-		if k < 0 {
-			continue // prologue instance: already complete
-		}
-		p := pos[int(e.Src)*iters+k]
-		if finish[p] < 0 {
-			return never
-		}
-		if r := finish[p] + e.Latency; r > at {
-			at = r
-		}
-	}
-	return at
-}
-
-func unitRange(m *machine.Machine, c machine.UnitClass) (base, count int) {
-	if c < 0 {
-		return 0, 0 // no unit runs a negative class
-	}
-	if m.SingleUnitOnly() {
-		return 0, 1
-	}
-	for cls := 0; cls < int(c) && cls < len(m.Units); cls++ {
-		base += m.Units[cls]
-	}
-	if int(c) < len(m.Units) {
-		return base, m.Units[c]
-	}
-	return base, 0
 }

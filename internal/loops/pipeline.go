@@ -31,6 +31,11 @@ func Pipeline(g *graph.Graph, m *machine.Machine) (*Kernel, error) {
 	if n == 0 {
 		return nil, fmt.Errorf("loops: empty loop body")
 	}
+	for v := 0; v < n; v++ {
+		if c := g.Node(graph.NodeID(v)).Class; m.UnitsFor(machine.UnitClass(c)) == 0 {
+			return nil, fmt.Errorf("loops: node %d has class %d with no units", v, c)
+		}
+	}
 	order, err := g.TopoOrder()
 	if err != nil {
 		return nil, err
@@ -67,9 +72,6 @@ func resourceMII(g *graph.Graph, m *machine.Machine) int {
 	mii := 1
 	for c, d := range demand {
 		u := m.UnitsFor(c)
-		if u == 0 {
-			u = 1
-		}
 		if v := (d + u - 1) / u; v > mii {
 			mii = v
 		}
@@ -131,9 +133,6 @@ func tryModulo(g *graph.Graph, m *machine.Machine, order []graph.NodeID, ii int)
 			c = 0
 		}
 		units := m.UnitsFor(c)
-		if units == 0 {
-			units = 1
-		}
 		p := use[c]
 		if p == nil {
 			p = make([]int, ii)

@@ -95,16 +95,30 @@ func (m *Machine) TotalUnits() int {
 	return total
 }
 
-// UnitsFor returns how many units can execute class c. On a single-unit
-// machine every class maps to the one unit.
-func (m *Machine) UnitsFor(c UnitClass) int {
+// UnitRange returns the global index of the first unit that executes class
+// c and how many units do (global indices run across all classes, in class
+// order). On a single-unit machine every class maps to the one unit. A
+// negative class, or one the machine has no entry for, has no units.
+func (m *Machine) UnitRange(c UnitClass) (base, count int) {
+	if c < 0 {
+		return 0, 0
+	}
 	if m.SingleUnitOnly() {
-		return 1
+		return 0, 1
+	}
+	for cls := 0; cls < int(c) && cls < len(m.Units); cls++ {
+		base += m.Units[cls]
 	}
 	if int(c) < len(m.Units) {
-		return m.Units[c]
+		return base, m.Units[c]
 	}
-	return 0
+	return base, 0
+}
+
+// UnitsFor returns how many units can execute class c (see UnitRange).
+func (m *Machine) UnitsFor(c UnitClass) int {
+	_, count := m.UnitRange(c)
+	return count
 }
 
 // WithWindow returns a copy of m with a different window size.

@@ -98,10 +98,11 @@ const (
 	// the injection site. Only tests produce these.
 	KindFault
 	// KindMergePin is one window-realizability repair inside a lookahead
-	// merge: the first merge predicted an execution the hardware window
-	// cannot reach from the static order, so the merge re-ran with old
-	// deadlines pinned to carried finish times. Block the current block, N
-	// the rejected makespan.
+	// merge: replaying the first merge's static order on the window machine
+	// did not issue every node at its predicted start, so the merge re-ran
+	// with old deadlines pinned to carried finish times (and, if the replay
+	// rejects that too, adopts the first merge's replayed execution). Block
+	// the current block, N the rejected makespan.
 	KindMergePin
 	// KindStreamPush is one block accepted by the streaming scheduler:
 	// Block the block index, From the carried-suffix size before the merge,

@@ -47,7 +47,7 @@ const DefaultMaxNodes = 16
 // maskNodes is the hard ceiling: placed sets are uint32 bitmasks.
 const maskNodes = 22
 
-// never marks an instruction whose producer has not issued (mirrors hw).
+// never is the lower bound's "no release yet" sentinel.
 const never = 1 << 30
 
 // ErrTooLarge reports an instance over the node budget.
@@ -114,18 +114,16 @@ type solver struct {
 
 	blockSeq [][]graph.NodeID // nodes per block, ascending block number
 	single   bool             // m.SingleUnitOnly(): one unit serves every class
-	unitBase []int            // per class: first global unit index
-	unitCnt  []int            // per class: unit count
 
 	order  []graph.NodeID
+	posOf  []int // node → stream position, for placed nodes
 	placed uint32
 
-	// prefix-simulation state, by stream position / by node
-	issued   []int
-	finishP  []int
-	finishN  []int
-	unitFree []int
-	est      []int
+	// prefix replay: the window machine over order's placed prefix, and
+	// each placed node's finish time from the last replay
+	k       hw.Kernel
+	finishN []int
+	est     []int
 
 	best       int
 	bestOrder  []graph.NodeID
@@ -143,20 +141,32 @@ type solver struct {
 // constrain a trace (like hw.SimulateTrace). The companion order satisfies
 // completion == hw.SimulateTrace(g, m, order).Completion.
 func OptimalTrace(ctx context.Context, g *graph.Graph, m *machine.Machine, lim Limits) (int, []graph.NodeID, Stats, error) {
-	s, err := newSolver(ctx, g, m, lim)
-	if err != nil {
+	s, err := solve(ctx, g, m, lim)
+	if s == nil {
 		return 0, nil, Stats{}, err
 	}
-	if s.n == 0 {
-		return 0, nil, s.stats, nil
-	}
-	if err := ctx.Err(); err != nil {
-		return 0, nil, s.stats, err
-	}
-	if err := s.dfs(0); err != nil {
+	if err != nil {
 		return 0, nil, s.stats, err
 	}
 	return s.best, s.bestOrder, s.stats, nil
+}
+
+// solve runs the search. A solver that failed to build is nil; one whose
+// search failed is returned with the error, for its stats.
+func solve(ctx context.Context, g *graph.Graph, m *machine.Machine, lim Limits) (*solver, error) {
+	s, err := newSolver(ctx, g, m, lim)
+	if err != nil {
+		return nil, err
+	}
+	if s.n == 0 {
+		s.bestOrder = nil
+		return s, nil
+	}
+	if err := ctx.Err(); err != nil {
+		return s, err
+	}
+	s.k.Truncate(0) // drop the incumbent's stream: the search starts empty
+	return s, s.dfs(0)
 }
 
 func newSolver(ctx context.Context, g *graph.Graph, m *machine.Machine, lim Limits) (*solver, error) {
@@ -204,32 +214,9 @@ func newSolver(ctx context.Context, g *graph.Graph, m *machine.Machine, lim Limi
 			s.succBit[e.Src] |= 1 << uint(e.Dst)
 		}
 	}
-	// Unit ranges per class, mirroring hw.unitRange: a single-unit machine
-	// serves every class from its one unit.
 	maxClass := 0
-	for v := 0; v < n; v++ {
-		if s.class[v] > maxClass {
-			maxClass = s.class[v]
-		}
-	}
-	s.unitBase = make([]int, maxClass+1)
-	s.unitCnt = make([]int, maxClass+1)
-	for c := 0; c <= maxClass; c++ {
-		if s.single {
-			s.unitBase[c], s.unitCnt[c] = 0, 1
-			continue
-		}
-		base := 0
-		for cls := 0; cls < c && cls < len(m.Units); cls++ {
-			base += m.Units[cls]
-		}
-		s.unitBase[c] = base
-		if c < len(m.Units) {
-			s.unitCnt[c] = m.Units[c]
-		}
-		if s.unitCnt[c] == 0 {
-			return nil, fmt.Errorf("opt: class %d has no units", c)
-		}
+	for _, c := range s.class {
+		maxClass = max(maxClass, c)
 	}
 	s.classWork = make([]int, maxClass+1)
 	s.classMinEs = make([]int, maxClass+1)
@@ -316,10 +303,8 @@ func newSolver(ctx context.Context, g *graph.Graph, m *machine.Machine, lim Limi
 	}
 
 	s.order = make([]graph.NodeID, n)
-	s.issued = make([]int, n)
-	s.finishP = make([]int, n)
+	s.posOf = make([]int, n)
 	s.finishN = make([]int, n)
-	s.unitFree = make([]int, m.TotalUnits())
 	s.est = make([]int, n)
 	s.bestOrder = make([]graph.NodeID, n)
 
@@ -333,10 +318,12 @@ func newSolver(ctx context.Context, g *graph.Graph, m *machine.Machine, lim Limi
 	for _, blk := range s.blockSeq {
 		seg := append([]graph.NodeID(nil), blk...)
 		sort.Slice(seg, func(i, j int) bool { return topoPos[seg[i]] < topoPos[seg[j]] })
-		copy(s.order[p:], seg)
-		p += len(seg)
+		for _, v := range seg {
+			s.place(p, v)
+			p++
+		}
 	}
-	comp, err := s.simulate(n)
+	comp, err := s.replay(n)
 	if err != nil {
 		return nil, err
 	}
@@ -345,116 +332,28 @@ func newSolver(ctx context.Context, g *graph.Graph, m *machine.Machine, lim Limi
 	return s, nil
 }
 
-// readyAt mirrors hw.earliestReady on the prefix stream: the earliest cycle
-// v's distance-0 producers allow issue, or never while one is unissued.
-func (s *solver) readyAt(v graph.NodeID) int {
-	at := 0
+// place puts v at stream position p, cutting the stream to its first p
+// positions. v's producers are all placed, so the stream stays
+// prefix-closed.
+func (s *solver) place(p int, v graph.NodeID) {
+	s.order[p], s.posOf[v] = v, p
+	s.k.Truncate(p)
+	s.k.Add(s.exec[v], s.class[v], 0)
 	for _, e := range s.preds[v] {
-		f := s.finishN[e.node]
-		if f < 0 {
-			return never
-		}
-		if r := f + e.lat; r > at {
-			at = r
-		}
+		s.k.Dep(s.posOf[e.node], e.lat)
 	}
-	return at
 }
 
-// simulate executes the first p entries of s.order as a complete stream on
-// the greedy window machine, mirroring hw.simulate's trace semantics
-// (in-order fetch, out-of-order issue within the W-window, position
-// priority, first-free unit). It fills issued/finishP by position and
-// finishN by node, and returns the completion.
-func (s *solver) simulate(p int) (int, error) {
-	for i := 0; i < p; i++ {
-		s.issued[i] = -1
-		s.finishP[i] = -1
-		s.finishN[s.order[i]] = -1
+// replay runs the placed prefix, the first p positions of s.order, as a
+// complete stream on the window machine (internal/hw's kernel), refreshes
+// finishN of every placed node and returns the prefix completion.
+func (s *solver) replay(p int) (int, error) {
+	comp, err := s.k.Run(s.m)
+	if err != nil {
+		return 0, err
 	}
-	for i := range s.unitFree {
-		s.unitFree[i] = 0
-	}
-	head, done := 0, 0
-	for t := 0; done < p; t++ {
-		progress := false
-		inWindow := head + s.w
-		if inWindow > p {
-			inWindow = p
-		}
-		for i := head; i < inWindow; i++ {
-			if s.issued[i] >= 0 {
-				continue
-			}
-			v := s.order[i]
-			if s.readyAt(v) > t {
-				continue
-			}
-			base, cnt := s.unitBase[s.class[v]], s.unitCnt[s.class[v]]
-			unit := -1
-			for u := base; u < base+cnt; u++ {
-				if s.unitFree[u] <= t {
-					unit = u
-					break
-				}
-			}
-			if unit < 0 {
-				continue
-			}
-			s.issued[i] = t
-			f := t + s.exec[v]
-			s.finishP[i] = f
-			s.finishN[v] = f
-			s.unitFree[unit] = f
-			done++
-			progress = true
-		}
-		for head < p && s.issued[head] >= 0 {
-			head++
-		}
-		if !progress {
-			// Jump to the next cycle anything can change.
-			next := -1
-			inWindow = head + s.w
-			if inWindow > p {
-				inWindow = p
-			}
-			for i := head; i < inWindow; i++ {
-				if s.issued[i] >= 0 {
-					continue
-				}
-				v := s.order[i]
-				cand := s.readyAt(v)
-				base, cnt := s.unitBase[s.class[v]], s.unitCnt[s.class[v]]
-				uf := -1
-				for u := base; u < base+cnt; u++ {
-					if uf == -1 || s.unitFree[u] < uf {
-						uf = s.unitFree[u]
-					}
-				}
-				if uf > cand {
-					cand = uf
-				}
-				if next == -1 || cand < next {
-					next = cand
-				}
-			}
-			if next >= never/2 || next < 0 {
-				// Impossible for topologically ordered streams: every
-				// producer precedes its consumer, so something is ready.
-				return 0, fmt.Errorf("opt: stream deadlock at cycle %d (prefix %d)", t, p)
-			}
-			if next <= t {
-				next = t + 1
-			}
-			t = next - 1
-		}
-	}
-	comp := 0
-	for i := 0; i < p; i++ {
-		if s.finishP[i] > comp {
-			comp = s.finishP[i]
-		}
+	for i, v := range s.order[:p] {
+		s.finishN[v] = s.k.Issued(i) + s.exec[v]
 	}
 	return comp, nil
 }
@@ -505,7 +404,7 @@ func (s *solver) lowerBound(prefixComp int) int {
 		}
 		cnt := 1
 		if !s.single {
-			cnt = s.unitCnt[c]
+			cnt = s.m.UnitsFor(machine.UnitClass(c))
 		}
 		if t := s.classMinEs[c] + (s.classWork[c]+cnt-1)/cnt; t > lb {
 			lb = t
@@ -558,7 +457,7 @@ func (s *solver) stateKey(p int) uint64 {
 	for i := 0; i < frozen; i++ {
 		v := s.order[i]
 		frozenMask |= 1 << uint(v)
-		mix(uint64(s.issued[i]) | uint64(s.class[v])<<24 | uint64(s.exec[v])<<32 | 2<<40)
+		mix(uint64(s.k.Issued(i)) | uint64(s.class[v])<<24 | uint64(s.exec[v])<<32 | 2<<40)
 	}
 	for i := 0; i < frozen; i++ {
 		v := s.order[i]
@@ -579,7 +478,7 @@ func (s *solver) dfs(p int) error {
 			return err
 		}
 	}
-	comp, err := s.simulate(p)
+	comp, err := s.replay(p)
 	if err != nil {
 		return err
 	}
@@ -626,7 +525,7 @@ func (s *solver) dfs(p int) error {
 			s.stats.SymSkips++
 			continue // an interchangeable smaller-ID sibling covers this
 		}
-		s.order[p] = v
+		s.place(p, v)
 		s.placed |= bit
 		err := s.dfs(p + 1)
 		s.placed &^= bit
@@ -638,10 +537,9 @@ func (s *solver) dfs(p int) error {
 }
 
 // Backend adapts the exact search to the engine-level sched.Backend
-// interface. The returned schedule is the simulated hardware execution of
-// the optimal static order — cross-checked against internal/hw at runtime
-// so the solver's window model can never silently drift from the reference
-// simulator.
+// interface. The returned schedule is the window machine's execution of the
+// optimal static order: issue cycles and units as internal/hw's kernel
+// replays them.
 type Backend struct {
 	Lim Limits
 }
@@ -654,71 +552,22 @@ func (*Backend) Name() string { return "exact" }
 
 // ScheduleTrace implements sched.Backend.
 func (b *Backend) ScheduleTrace(ctx context.Context, g *graph.Graph, m *machine.Machine) (*sched.BackendResult, error) {
-	comp, order, _, err := OptimalTrace(ctx, g, m, b.Lim)
+	s, err := solve(ctx, g, m, b.Lim)
 	if err != nil {
 		return nil, err
 	}
-	res, err := hw.SimulateTrace(g, m, order)
-	if err != nil {
+	for p, v := range s.bestOrder {
+		s.place(p, v)
+	}
+	if _, err := s.k.Run(m); err != nil {
 		return nil, err
 	}
-	if res.Completion != comp {
-		return nil, fmt.Errorf("opt: solver completion %d disagrees with hw simulation %d", comp, res.Completion)
+	out := sched.New(g, m)
+	for i, v := range s.bestOrder {
+		out.Start[v], out.Unit[v] = s.k.Issued(i), s.k.Unit(i)
 	}
-	s, err := executionSchedule(g, m, order, res.Issued)
-	if err != nil {
-		return nil, err
-	}
-	return &sched.BackendResult{Order: order, S: s}, nil
-}
-
-// executionSchedule rebuilds the dynamic execution as a sched.Schedule:
-// start cycles come from the simulator, unit assignments replay its
-// deterministic choice (positions in (cycle, position) order take the first
-// free unit of their class).
-func executionSchedule(g *graph.Graph, m *machine.Machine, order []graph.NodeID, issued []int) (*sched.Schedule, error) {
-	s := sched.New(g, m)
-	pos := make([]int, len(order))
-	for i := range pos {
-		pos[i] = i
-	}
-	sort.Slice(pos, func(a, b int) bool {
-		if issued[pos[a]] != issued[pos[b]] {
-			return issued[pos[a]] < issued[pos[b]]
-		}
-		return pos[a] < pos[b]
-	})
-	unitFree := make([]int, m.TotalUnits())
-	for _, i := range pos {
-		v := order[i]
-		t := issued[i]
-		base, cnt := 0, 1
-		if !m.SingleUnitOnly() {
-			c := g.Node(v).Class
-			for cls := 0; cls < c && cls < len(m.Units); cls++ {
-				base += m.Units[cls]
-			}
-			if c >= len(m.Units) || m.Units[c] == 0 {
-				return nil, fmt.Errorf("opt: class %d has no units", c)
-			}
-			cnt = m.Units[c]
-		}
-		unit := -1
-		for u := base; u < base+cnt; u++ {
-			if unitFree[u] <= t {
-				unit = u
-				break
-			}
-		}
-		if unit < 0 {
-			return nil, fmt.Errorf("opt: no free unit for node %d at cycle %d", v, t)
-		}
-		s.Start[v] = t
-		s.Unit[v] = unit
-		unitFree[unit] = t + g.Node(v).Exec
-	}
-	if err := s.Validate(); err != nil {
+	if err := out.Validate(); err != nil {
 		return nil, fmt.Errorf("opt: execution schedule invalid: %w", err)
 	}
-	return s, nil
+	return &sched.BackendResult{Order: s.bestOrder, S: out}, nil
 }

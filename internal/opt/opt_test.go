@@ -222,17 +222,30 @@ func TestExactMemoTailReleaseRegression(t *testing.T) {
 	}
 }
 
-// TestExactSimulatorAgreesWithHW pins the internal prefix simulator to the
-// reference hw model on full streams, including multi-class machines and
-// non-unit exec times — the property every prune's soundness rests on.
-func TestExactSimulatorAgreesWithHW(t *testing.T) {
+// agreeInstances draws the random traces and machines of
+// TestExactSimulatorAgreesWithHW: multi-class machines and non-unit exec
+// times.
+func agreeInstances(t *testing.T) ([]*graph.Graph, []*machine.Machine) {
 	r := rand.New(rand.NewSource(23))
+	var gs []*graph.Graph
+	var ms []*machine.Machine
 	for i := 0; i < 120; i++ {
 		cfg := workload.TraceConfig{Blocks: 1 + r.Intn(3), MinSize: 2, MaxSize: 4,
 			IntraProb: 0.4, CrossProb: 0.25, Latency: workload.Mixed,
 			Classes: 1 + r.Intn(3), MaxExec: 1 + r.Intn(3)}
-		g := smallTrace(t, r, cfg)
-		m := machine.RS6000(2 + r.Intn(4))
+		gs = append(gs, smallTrace(t, r, cfg))
+		ms = append(ms, machine.RS6000(2+r.Intn(4)))
+	}
+	return gs, ms
+}
+
+// TestExactSimulatorAgreesWithHW pins the solver's prefix replay — the
+// stream it builds for internal/hw's kernel — to hw.SimulateTrace on full
+// streams: the property every prune's soundness rests on.
+func TestExactSimulatorAgreesWithHW(t *testing.T) {
+	gs, ms := agreeInstances(t)
+	for i, g := range gs {
+		m := ms[i]
 		s, err := newSolver(context.Background(), g, m, Limits{})
 		if err != nil {
 			t.Fatal(err)

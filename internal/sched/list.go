@@ -79,7 +79,7 @@ type ListScheduler struct {
 	// rel, when non-nil, holds per-node release times seeding earliest at
 	// the start of every run (see SetRelease).
 	rel []int
-	// ubase/ucount cache unitBase per class present in the view.
+	// ubase/ucount cache m.UnitRange per class present in the view.
 	ubase  []int
 	ucount []int
 	// negClass is the first node of the bound view with a negative class
@@ -158,7 +158,7 @@ func (ls *ListScheduler) Reset(view graph.AdjView, m *machine.Machine, g *graph.
 	ls.ubase = ls.ubase[:maxClass+1]
 	ls.ucount = ls.ucount[:maxClass+1]
 	for c := 0; c <= maxClass; c++ {
-		ls.ubase[c], ls.ucount[c] = unitBase(m, machine.UnitClass(c))
+		ls.ubase[c], ls.ucount[c] = m.UnitRange(machine.UnitClass(c))
 	}
 }
 

@@ -135,22 +135,6 @@ func (s *Schedule) Complete() bool {
 	return true
 }
 
-// unitBase returns the global index of the first unit of class c and the
-// number of units usable by class c. On a single-unit machine every class
-// maps to unit 0.
-func unitBase(m *machine.Machine, c machine.UnitClass) (base, count int) {
-	if m.SingleUnitOnly() {
-		return 0, 1
-	}
-	for cls := 0; cls < int(c) && cls < len(m.Units); cls++ {
-		base += m.Units[cls]
-	}
-	if int(c) < len(m.Units) {
-		return base, m.Units[c]
-	}
-	return base, 0
-}
-
 // Validate checks that the schedule is complete, respects all distance-0
 // dependence edges, assigns each node to a unit legal for its class, and
 // never runs two nodes on one unit at the same time.
@@ -163,7 +147,7 @@ func (s *Schedule) Validate() error {
 		if s.Start[v] < 0 {
 			return fmt.Errorf("sched: node %d (%s) has negative start %d", v, s.G.Node(id).Label, s.Start[v])
 		}
-		base, count := unitBase(s.M, machine.UnitClass(s.G.Node(id).Class))
+		base, count := s.M.UnitRange(machine.UnitClass(s.G.Node(id).Class))
 		if count == 0 {
 			return fmt.Errorf("sched: node %d (%s) has class %d with no units", v, s.G.Node(id).Label, s.G.Node(id).Class)
 		}

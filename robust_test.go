@@ -10,6 +10,7 @@ import (
 
 	"aisched/internal/faultinject"
 	"aisched/internal/obs"
+	"aisched/internal/sched"
 	"aisched/internal/workload"
 )
 
@@ -497,6 +498,17 @@ func TestNegativeClassRejected(t *testing.T) {
 		},
 		"SimulateTrace": func(g *Graph, m *Machine) error {
 			_, err := SimulateTrace(g, m, []NodeID{0, 1, 2})
+			return err
+		},
+		"CheckLegal": func(g *Graph, m *Machine) error {
+			s := sched.New(g, m)
+			for v := range s.Start {
+				s.Start[v], s.Unit[v] = 2*v, 0
+			}
+			return CheckLegal(s, m.Window)
+		},
+		"Pipeline": func(g *Graph, m *Machine) error {
+			_, err := Pipeline(g, m)
 			return err
 		},
 	}
