@@ -42,14 +42,12 @@ import (
 	"aisched/internal/emit"
 	"aisched/internal/graph"
 	"aisched/internal/hw"
-	"aisched/internal/idle"
 	"aisched/internal/interp"
 	"aisched/internal/isa"
 	"aisched/internal/loops"
 	"aisched/internal/machine"
 	"aisched/internal/minic"
 	"aisched/internal/obs"
-	"aisched/internal/rank"
 	"aisched/internal/regren"
 	"aisched/internal/sched"
 )
@@ -136,15 +134,10 @@ type Observer struct {
 // yields an Observer with tracing disabled (zero overhead).
 func WithTracer(t Tracer) *Observer { return &Observer{tr: t} }
 
-// ScheduleBlock is the traced equivalent of the package-level ScheduleBlock.
+// ScheduleBlock is the traced equivalent of the package-level ScheduleBlock:
+// the same pipeline, with its passes reported to the Observer's Tracer.
 func (o *Observer) ScheduleBlock(g *Graph, m *Machine) (*Schedule, error) {
-	s, err := rank.MakespanT(g, m, o.tr)
-	if err != nil {
-		return nil, err
-	}
-	d := rank.UniformDeadlines(g.Len(), s.Makespan())
-	s, _, err = idle.DelayIdleSlotsT(s, m, d, nil, o.tr)
-	return s, err
+	return scheduleBlockFused(g, m, nil, o.tr)
 }
 
 // ScheduleTrace is the traced equivalent of the package-level ScheduleTrace.

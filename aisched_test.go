@@ -176,3 +176,27 @@ func TestPublicDocExampleCompiles(t *testing.T) {
 		t.Fatal("schedule rendering empty")
 	}
 }
+
+// TestBackwardCrossBlockEdgeRejected: an edge from a later block into an
+// earlier one puts a consumer ahead of its producer in every emittable
+// stream, so the window deadlocks on whatever order comes out. Every trace
+// entry point must reject the graph instead of emitting such an order.
+func TestBackwardCrossBlockEdgeRejected(t *testing.T) {
+	g := NewGraph(5)
+	a := g.AddNode("a", 1, 0, 0)
+	g.AddNode("b", 1, 0, 0)
+	g.AddNode("c", 1, 0, 0)
+	d := g.AddNode("d", 1, 0, 1)
+	g.AddNode("e", 1, 0, 0)
+	g.MustEdge(d, a, 0, 0)
+	m := SingleUnit(2)
+	if res, err := ScheduleTrace(g, m); err == nil {
+		t.Errorf("ScheduleTrace accepted the backward edge: order %v", res.StaticOrder())
+	}
+	if _, err := NewScheduler(SchedulerOptions{}).ScheduleTrace(g, m); err == nil {
+		t.Error("Scheduler.ScheduleTrace accepted the backward edge")
+	}
+	if _, err := ScheduleLoop(g, m); err == nil {
+		t.Error("ScheduleLoop accepted the backward edge")
+	}
+}

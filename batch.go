@@ -31,6 +31,7 @@ import (
 	"aisched/internal/core"
 	"aisched/internal/deps"
 	"aisched/internal/faultinject"
+	"aisched/internal/graph"
 	"aisched/internal/idle"
 	"aisched/internal/loops"
 	"aisched/internal/memo"
@@ -134,26 +135,37 @@ type SpecCounters = core.SpecStats
 // callers wanting per-run numbers diff two snapshots.
 func SpecTraceCounters() SpecCounters { return core.SpecCounters() }
 
-// scheduleBlockFused is ScheduleBlock with both passes sharing one rank
-// context (the PR 2 engine's per-graph cached topo order, descendant closure
-// and scratch). Both paths are deterministic functions of (g, m), so the
-// result is bit-identical to the two-context pipeline. bs, when non-nil,
-// makes every rank pass a cancellation/budget checkpoint.
-func scheduleBlockFused(g *Graph, m *Machine, bs *sbudget.State) (*Schedule, error) {
+// scheduleBlockFused is ScheduleBlock, traced or not: the Rank Algorithm's
+// minimum-makespan pass and Delay_Idle_Slots share one rank context (the
+// per-graph cached topo order, descendant closure and scratch). bs, when
+// non-nil, makes every rank pass a cancellation/budget checkpoint. tr, when
+// non-nil, receives the rank pass's start/end events (named
+// obs.PassRankMakespan, the end carrying the makespan) and
+// Delay_Idle_Slots' pass, slot-move and deadline events; tracing changes
+// nothing else.
+func scheduleBlockFused(g *Graph, m *Machine, bs *sbudget.State, tr Tracer) (*Schedule, error) {
 	rc, err := rank.NewCtx(g, m)
 	if err != nil {
 		return nil, err
 	}
 	rc.SetBudget(bs)
+	if tr != nil {
+		tr.Emit(obs.Event{Kind: obs.KindPassStart, Pass: obs.PassRankMakespan,
+			Block: -1, Node: graph.None, N: g.Len()})
+	}
 	t := stageTimer(stageSampler)
 	res, err := rc.Run(rank.UniformDeadlines(g.Len(), rank.Big), nil)
 	if err != nil {
 		return nil, err
 	}
 	stageDone(mStageRankNS, t)
+	if tr != nil {
+		tr.Emit(obs.Event{Kind: obs.KindPassEnd, Pass: obs.PassRankMakespan,
+			Block: -1, Node: graph.None, N: res.S.Makespan()})
+	}
 	d := rank.UniformDeadlines(g.Len(), res.S.Makespan())
 	t = stageTimer(stageSampler)
-	s, _, err := idle.DelayIdleSlotsCtx(rc, res.S, d, nil, nil)
+	s, _, err := idle.DelayIdleSlotsCtx(rc, res.S, d, nil, tr)
 	stageDone(mStageIdleNS, t)
 	return s, err
 }
@@ -211,7 +223,7 @@ func (sc *Scheduler) ScheduleBlock(g *Graph, m *Machine) (*Schedule, error) {
 func (sc *Scheduler) ScheduleBlockCtx(ctx context.Context, g *Graph, m *Machine) (*Schedule, error) {
 	defer observeRequest(mReqBlockNS, time.Now())
 	return request(sc, ctx, memo.KindBlock, g, m,
-		func(bs *sbudget.State) (*Schedule, error) { return scheduleBlockFused(g, m, bs) },
+		func(bs *sbudget.State) (*Schedule, error) { return scheduleBlockFused(g, m, bs, nil) },
 		func(s *Schedule) *Schedule { return s }, sc.fallbackBlock)
 }
 

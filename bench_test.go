@@ -6,6 +6,7 @@
 package aisched
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -19,10 +20,10 @@ import (
 	"aisched/internal/loops"
 	"aisched/internal/machine"
 	"aisched/internal/minic"
+	"aisched/internal/opt"
 	"aisched/internal/paperex"
 	"aisched/internal/rank"
 	"aisched/internal/regren"
-	"aisched/internal/verify"
 	"aisched/internal/workload"
 )
 
@@ -203,8 +204,9 @@ func BenchmarkT3Loop(b *testing.B) {
 	})
 }
 
-// BenchmarkT4Oracles (T4): the exhaustive oracles' cost on the instance
-// sizes used by the optimality experiments.
+// BenchmarkT4Oracles (T4): the exact oracle's cost on the instance sizes
+// used by the optimality experiments, as the block optimum (every
+// instruction in the window).
 func BenchmarkT4Oracles(b *testing.B) {
 	r := rand.New(rand.NewSource(4))
 	g := graph.New(10)
@@ -218,11 +220,11 @@ func BenchmarkT4Oracles(b *testing.B) {
 			}
 		}
 	}
-	m := machine.SingleUnit(1)
+	m := machine.SingleUnit(g.Len())
 	b.Run("block-makespan", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := verify.OptimalMakespan(g, m); err != nil {
+			if _, _, _, err := opt.OptimalTrace(context.Background(), g, m, opt.Limits{}); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -1,6 +1,7 @@
 package baseline_test
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -9,9 +10,9 @@ import (
 	"aisched/internal/graph"
 	"aisched/internal/hw"
 	"aisched/internal/machine"
+	"aisched/internal/opt"
 	"aisched/internal/paperex"
 	"aisched/internal/sched"
-	"aisched/internal/verify"
 )
 
 func TestAllNamesDistinct(t *testing.T) {
@@ -207,12 +208,12 @@ func TestPropertyRankLocalNeverWorseThanOtherLocals(t *testing.T) {
 				return false
 			}
 		}
-		// And rank-local matches the brute-force optimum.
-		opt, err := verify.OptimalMakespan(g, m)
+		// And rank-local matches the exact block optimum.
+		best, _, _, err := opt.OptimalTrace(context.Background(), g, m.WithWindow(g.Len()), opt.Limits{})
 		if err != nil {
 			return false
 		}
-		return rl == opt
+		return rl == best
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)

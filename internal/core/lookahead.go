@@ -88,7 +88,7 @@ type Options struct {
 	// pass-start/pass-end pair for the whole algorithm, and per block a
 	// KindMergeLoosen event for each deadline-loosening round of merge, a
 	// KindMerge event for the merged schedule, the Delay_Idle_Slots events
-	// (see idle.DelayIdleSlotsT), and a KindChop event with the committed
+	// (see idle.DelayIdleSlotsCtx), and a KindChop event with the committed
 	// prefix, the carried-suffix size, and the chop time base.
 	Tracer obs.Tracer
 	// Budget, when non-nil, makes the per-block loop and every rank pass a
@@ -210,6 +210,9 @@ func LookaheadOpts(g *graph.Graph, m *machine.Machine, opt Options) (*Result, er
 	}
 	if !g.IsAcyclic() {
 		return nil, fmt.Errorf("core: trace graph has a loop-independent cycle")
+	}
+	if err := g.CheckBlockOrder(); err != nil {
+		return nil, err
 	}
 	tr := opt.Tracer
 	if tr != nil {

@@ -198,8 +198,14 @@ func (st *Step) Run(in *StepIn) (StepOut, error) {
 	// model greedy hardware deviates from any prediction (latency stalls
 	// reorder the window), so the heuristic regime keeps the paper's §4.2
 	// behavior unchanged.
-	repaired := false
-	if st.restrictedModel(in) && !st.realizable(s, in) {
+	ok := true
+	if st.restrictedModel(in) {
+		if ok, err = st.realizable(s, in); err != nil {
+			return StepOut{}, err
+		}
+	}
+	repaired := !ok
+	if repaired {
 		if tr != nil {
 			tr.Emit(obs.Event{Kind: obs.KindMergePin, Block: in.Block,
 				Node: graph.None, N: s.Makespan()})
@@ -223,19 +229,21 @@ func (st *Step) Run(in *StepIn) (StepOut, error) {
 				return StepOut{}, err
 			}
 		}
-		switch {
-		case st.realizable(s2, in):
-			s, repaired = s2, true
-		case st.simulate(sSave, in):
-			s, repaired = sSave.Clone(), true
+		if ok, err = st.realizable(s2, in); err != nil {
+			return StepOut{}, err
+		}
+		if ok {
+			s = s2
+		} else {
+			if err := st.simulate(sSave, in); err != nil {
+				return StepOut{}, err
+			}
+			s = sSave.Clone()
 			copy(d, dSave)
 			for i, v := range st.static {
 				s.Start[v] = st.win.Issued(i)
 				d[v] = max(d[v], s.Finish(v))
 			}
-		default:
-			s = sSave
-			copy(d, dSave)
 		}
 	}
 
@@ -344,10 +352,11 @@ func (st *Step) restrictedModel(in *StepIn) bool {
 // simulate runs s's static order — the view's blocks in order, each block's
 // nodes by predicted start (Definition 2.3's priority list) — on the window
 // machine of internal/hw, with the view's edges and the iteration's release
-// floors. It reports whether the machine ran the order: a producer that
-// trails its consumer by W or more positions deadlocks it. The issue cycles
-// stay in st.win, by position of st.static.
-func (st *Step) simulate(s *sched.Schedule, in *StepIn) bool {
+// floors. The issue cycles stay in st.win, by position of st.static. Every
+// producer precedes its consumers in that order — within a block by start
+// time, across blocks because no edge runs backward (graph.CheckBlockOrder)
+// — so the machine cannot deadlock; a kernel error is returned as is.
+func (st *Step) simulate(s *sched.Schedule, in *StepIn) error {
 	view := in.View
 	st.static = growSlice(st.static, view.N)
 	for i := range st.static {
@@ -366,20 +375,20 @@ func (st *Step) simulate(s *sched.Schedule, in *StepIn) bool {
 	}
 	st.win.LoadView(view, st.static, rel)
 	_, err := st.win.Run(in.M)
-	return err == nil
+	return err
 }
 
 // realizable reports whether the window machine, running s's static order,
 // issues every node at its predicted start. Chop runs after the check, so
 // a committed prefix is never part of a prediction the replay rejected.
-func (st *Step) realizable(s *sched.Schedule, in *StepIn) bool {
-	if !st.simulate(s, in) {
-		return false
+func (st *Step) realizable(s *sched.Schedule, in *StepIn) (bool, error) {
+	if err := st.simulate(s, in); err != nil {
+		return false, err
 	}
 	for i, v := range st.static {
 		if st.win.Issued(i) != s.Start[v] {
-			return false
+			return false, nil
 		}
 	}
-	return true
+	return true, nil
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -85,6 +86,24 @@ func TestT4OptimalityRates(t *testing.T) {
 	}
 	if !r.Passed {
 		t.Fatalf("T4 failed:\n%s", r)
+	}
+}
+
+// TestT4OracleTablePinned pins the README's reproduction table: T4 at seed
+// 1996 over 100 instances. A PASS alone would let a silent change in an
+// oracle's answers through, so every row is compared exactly.
+func TestT4OracleTablePinned(t *testing.T) {
+	r, err := T4(1996, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := [][]string{
+		{"rank = optimal (block)", "100/100", "0"},
+		{"lookahead = optimal (trace)", "100/100", "0"},
+		{"general case = optimal (loop II)", "99/100", "1"},
+	}
+	if !r.Passed || !reflect.DeepEqual(r.Table.Rows, want) {
+		t.Fatalf("T4 table changed, want rows %q:\n%s", want, r)
 	}
 }
 

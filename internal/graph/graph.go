@@ -320,6 +320,25 @@ func (g *Graph) IsAcyclic() bool {
 	return err == nil
 }
 
+// CheckBlockOrder reports the first loop-independent edge that runs from a
+// later block into an earlier one. A trace emits its blocks in ascending
+// order (Definition 2.1), so such an edge puts a consumer ahead of its
+// producer in every emittable stream and deadlocks the window. It allocates
+// nothing unless it fails.
+func (g *Graph) CheckBlockOrder() error {
+	for src, out := range g.out {
+		for _, e := range out {
+			if e.Distance != 0 {
+				continue
+			}
+			if from, to := g.nodes[src].Block, g.nodes[e.Dst].Block; from > to {
+				return fmt.Errorf("graph: edge %d->%d crosses blocks backward (%d > %d)", e.Src, e.Dst, from, to)
+			}
+		}
+	}
+	return nil
+}
+
 // Descendants returns, for every node, the bitset of nodes reachable through
 // distance-0 edges (excluding the node itself). O(V·E/64) via bitset union in
 // reverse topological order.

@@ -397,3 +397,23 @@ func TestPropertyEarliestStartLEQCriticalPathBound(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestCheckBlockOrder(t *testing.T) {
+	g := New(3)
+	a := g.AddNode("a", 1, 0, 0)
+	b := g.AddNode("b", 1, 0, 1)
+	c := g.AddNode("c", 1, 0, 1)
+	g.MustEdge(a, b, 1, 0)
+	g.MustEdge(b, c, 0, 0)
+	g.MustEdge(c, a, 0, 1) // loop-carried: runs backward legitimately
+	if err := g.CheckBlockOrder(); err != nil {
+		t.Fatalf("forward trace rejected: %v", err)
+	}
+	if n := testing.AllocsPerRun(10, func() { _ = g.CheckBlockOrder() }); n != 0 {
+		t.Fatalf("CheckBlockOrder allocates %v times", n)
+	}
+	g.MustEdge(c, a, 2, 0)
+	if err := g.CheckBlockOrder(); err == nil || !strings.Contains(err.Error(), "2->0 crosses blocks backward") {
+		t.Fatalf("backward edge: got %v", err)
+	}
+}

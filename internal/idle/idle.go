@@ -170,28 +170,24 @@ func grow(buf []int, n int) []int {
 // one cycle earlier) and re-runs rank_alg, until the slot moves later, is
 // eliminated, or the instance becomes infeasible. On failure the input
 // schedule and deadlines are returned unchanged (Moved == false).
+//
+// It builds a throwaway rank context; passes moving many slots of one
+// schedule should go through DelayIdleSlotsCtx.
 func MoveIdleSlot(s *sched.Schedule, m *machine.Machine, d []int, unit, t int, tie []graph.NodeID) (*MoveResult, error) {
-	return MoveIdleSlotT(s, m, d, unit, t, tie, nil)
-}
-
-// MoveIdleSlotT is MoveIdleSlot with optional tracing: every tail-deadline
-// demotion emits a KindDeadlineTighten event (the slot's start time in
-// Cycle, the deadline change in From→To). Builds a throwaway rank context;
-// passes moving many slots of one schedule should go through
-// DelayIdleSlotsCtx.
-func MoveIdleSlotT(s *sched.Schedule, m *machine.Machine, d []int, unit, t int, tie []graph.NodeID, tr obs.Tracer) (*MoveResult, error) {
 	c, err := rank.NewCtx(s.G, m)
 	if err != nil {
 		return nil, err
 	}
-	out, _, err := moveIdleSlot(c, s, d, unit, t, tie, tr, nil)
+	out, _, err := moveIdleSlot(c, s, d, unit, t, tie, nil, nil)
 	if err != nil {
 		return nil, err
 	}
 	return &MoveResult{S: out.s, D: out.d, Moved: out.moved, NewStart: out.newStart}, nil
 }
 
-// moveIdleSlot is the engine behind MoveIdleSlotT: it reuses the shared rank
+// moveIdleSlot is the engine behind MoveIdleSlot: with a non-nil tr, every
+// tail-deadline demotion emits a KindDeadlineTighten event (the slot's start
+// time in Cycle, the deadline change in From→To). It reuses the shared rank
 // context, re-ranks incrementally with rank.Ctx.Refresh (a demotion
 // re-ranks only the demoted tail's ancestors), shares the rank computation
 // between the refill test and the reschedule, and accepts/returns the unit
@@ -314,28 +310,24 @@ func moveIdleSlot(c *rank.Ctx, s *sched.Schedule, d []int, unit, t int, tie []gr
 // MoveIdleSlot on each until it can no longer be delayed. Returns the final
 // schedule and committed deadlines.
 func DelayIdleSlots(s *sched.Schedule, m *machine.Machine, d []int, tie []graph.NodeID) (*sched.Schedule, []int, error) {
-	return DelayIdleSlotsT(s, m, d, tie, nil)
-}
-
-// DelayIdleSlotsT is DelayIdleSlots with optional tracing: the pass is
-// bracketed by pass-start/pass-end events named obs.PassDelayIdleSlots, and
-// every successful Move_Idle_Slot emits a KindSlotMove event (unit, old
-// start in From, new start in To, −1 = slot eliminated) in addition to the
-// per-demotion KindDeadlineTighten events from MoveIdleSlotT.
-func DelayIdleSlotsT(s *sched.Schedule, m *machine.Machine, d []int, tie []graph.NodeID, tr obs.Tracer) (*sched.Schedule, []int, error) {
 	c, err := rank.NewCtx(s.G, m)
 	if err != nil {
 		return nil, nil, err
 	}
-	return DelayIdleSlotsCtx(c, s, d, tie, tr)
+	return DelayIdleSlotsCtx(c, s, d, tie, nil)
 }
 
-// DelayIdleSlotsCtx is DelayIdleSlotsT on a caller-supplied rank context
+// DelayIdleSlotsCtx is DelayIdleSlots on a caller-supplied rank context
 // (which must have been built for s's graph — or, for schedules produced
 // from an induced graph view, for a view of the same size): Algorithm
 // Lookahead holds one context per merged subgraph and shares it between the
 // merge re-ranks and this pass. The returned deadline slice is freshly
 // allocated and owned by the caller.
+//
+// With a non-nil tr the pass is bracketed by pass-start/pass-end events
+// named obs.PassDelayIdleSlots, every successful Move_Idle_Slot emits a
+// KindSlotMove event (unit, old start in From, new start in To, −1 = slot
+// eliminated), and every tail-deadline demotion a KindDeadlineTighten event.
 func DelayIdleSlotsCtx(c *rank.Ctx, s *sched.Schedule, d []int, tie []graph.NodeID, tr obs.Tracer) (*sched.Schedule, []int, error) {
 	if c.Len() != s.Len() || (c.Graph() != nil && s.G != nil && c.Graph() != s.G) {
 		return nil, nil, fmt.Errorf("idle: rank context built for a different graph")

@@ -24,9 +24,17 @@
 //     interchangeable same-block nodes are expanded in canonical ID order
 //     only).
 //
+// It is also the repository's one exact oracle for the paper's optimality
+// claims. The block optimum is OptimalTrace on a single-block graph with
+// m.WithWindow(g.Len()): with every instruction in the window the machine
+// list-schedules the stream, so the minimum over the block's topological
+// orders is the minimum over active schedules — the optimum for unit
+// execution times on one unit. OptimalLoopII is the brute-force oracle for
+// a single-block loop's initiation interval.
+//
 // Everything here is exponential in the worst case and guarded by
 // node-count and expansion budgets; callers treat ErrTooLarge/ErrBudget as
-// "oracle unavailable", exactly like internal/verify.
+// "oracle unavailable".
 package opt
 
 import (
@@ -41,7 +49,7 @@ import (
 	"aisched/internal/sched"
 )
 
-// DefaultMaxNodes matches internal/verify's oracle guard.
+// DefaultMaxNodes is the node budget when Limits.MaxNodes is zero.
 const DefaultMaxNodes = 16
 
 // maskNodes is the hard ceiling: placed sets are uint32 bitmasks.
@@ -177,6 +185,9 @@ func newSolver(ctx context.Context, g *graph.Graph, m *machine.Machine, lim Limi
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
+	if err := g.CheckBlockOrder(); err != nil {
+		return nil, err
+	}
 	s := &solver{
 		ctx: ctx, m: m, w: m.Window, n: n, lim: lim,
 		maxExpand: lim.maxExpansions(),
@@ -203,10 +214,6 @@ func newSolver(ctx context.Context, g *graph.Graph, m *machine.Machine, lim Limi
 		for _, e := range g.Out(graph.NodeID(v)) {
 			if e.Distance != 0 {
 				continue // loop-carried: unconstrained in a single trace pass
-			}
-			if blockOf[e.Src] > blockOf[e.Dst] {
-				return nil, fmt.Errorf("opt: edge %d->%d crosses blocks backward (%d > %d)",
-					e.Src, e.Dst, blockOf[e.Src], blockOf[e.Dst])
 			}
 			s.succs[e.Src] = append(s.succs[e.Src], pred{e.Dst, e.Latency})
 			s.preds[e.Dst] = append(s.preds[e.Dst], pred{e.Src, e.Latency})

@@ -8,8 +8,9 @@ import (
 
 	"aisched/internal/graph"
 	"aisched/internal/hw"
+	"aisched/internal/loops"
 	"aisched/internal/machine"
-	"aisched/internal/verify"
+	"aisched/internal/paperex"
 	"aisched/internal/workload"
 )
 
@@ -50,7 +51,7 @@ func TestExactMatchesExhaustiveOracle(t *testing.T) {
 			m = machine.RS6000(m.Window) // one unit per class for classes 0–2
 		}
 		g := smallTrace(t, r, cfg)
-		want, _, err := verify.OptimalTraceCompletion(g, m)
+		want, _, err := referenceOptimalTrace(g, m)
 		if err != nil {
 			t.Fatalf("instance %d: exhaustive oracle: %v", i, err)
 		}
@@ -163,7 +164,7 @@ func TestExactSymmetryDominance(t *testing.T) {
 	c := g.AddNode("c", 1, 0, 0)
 	g.MustEdge(a, c, 2, 0)
 	m := machine.SingleUnit(1) // W=1: strictly in-order, order fully binding
-	want, _, err := verify.OptimalTraceCompletion(g, m)
+	want, _, err := referenceOptimalTrace(g, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +207,7 @@ func TestExactMemoTailReleaseRegression(t *testing.T) {
 	g.MustEdge(n4, n6, 1, 0)
 	g.MustEdge(n6, n7, 4, 0)
 	m := machine.RS6000(2)
-	want, _, err := verify.OptimalTraceCompletion(g, m)
+	want, _, err := referenceOptimalTrace(g, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,5 +261,105 @@ func TestExactSimulatorAgreesWithHW(t *testing.T) {
 			t.Fatalf("instance %d: internal sim %d != hw %d (order %v)",
 				i, s.best, res.Completion, s.bestOrder)
 		}
+	}
+}
+
+// blockOptimum is the minimum makespan of a single-block graph: the exact
+// trace optimum with every instruction in the window.
+func blockOptimum(t *testing.T, g *graph.Graph, m *machine.Machine) int {
+	t.Helper()
+	best, _, _, err := OptimalTrace(context.Background(), g, m.WithWindow(g.Len()), Limits{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return best
+}
+
+func TestExactBlockOptimumFigure1Is7(t *testing.T) {
+	f := paperex.NewFig1()
+	if got := blockOptimum(t, f.G, machine.SingleUnit(1)); got != 7 {
+		t.Fatalf("optimal makespan = %d, want 7", got)
+	}
+}
+
+func TestExactBlockOptimumChain(t *testing.T) {
+	g := graph.New(3)
+	a := g.AddUnit("a")
+	b := g.AddUnit("b")
+	c := g.AddUnit("c")
+	g.MustEdge(a, b, 2, 0)
+	g.MustEdge(b, c, 0, 0)
+	if got := blockOptimum(t, g, machine.SingleUnit(1)); got != 5 {
+		t.Fatalf("optimal = %d, want 5 (a _ _ b c)", got)
+	}
+}
+
+func TestExactBlockOptimumEmpty(t *testing.T) {
+	if got := blockOptimum(t, graph.New(0), machine.SingleUnit(1)); got != 0 {
+		t.Fatalf("empty graph: %d", got)
+	}
+}
+
+// TestExactTraceFigure2: the Figure 2 trace's optimum for W=2 is 11, from
+// the search and from the exhaustive enumeration alike.
+func TestExactTraceFigure2(t *testing.T) {
+	f := paperex.NewFig2()
+	m := machine.SingleUnit(2)
+	want, order, err := referenceOptimalTrace(f.G, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want != 11 {
+		t.Fatalf("exhaustive optimum = %d, want 11 (order %v)", want, order)
+	}
+	if got, _, _, err := OptimalTrace(context.Background(), f.G, m, Limits{}); err != nil || got != want {
+		t.Fatalf("OptimalTrace = %d, %v; want %d", got, err, want)
+	}
+}
+
+func TestExactLoopIIFigure8(t *testing.T) {
+	f := paperex.NewFig8()
+	best, err := OptimalLoopII(f.G, machine.SingleUnit(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if best.II != 4 {
+		t.Fatalf("loop oracle II = %d, want 4", best.II)
+	}
+}
+
+func TestExactLoopIIFigure3(t *testing.T) {
+	f := paperex.NewFig3()
+	m := machine.SingleUnit(4)
+	best, err := OptimalLoopII(f.G, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if best.II != 6 {
+		t.Fatalf("loop oracle II = %d, want 6", best.II)
+	}
+	// The general-case algorithm matches the oracle on the paper's example.
+	st, err := loops.ScheduleSingleBlockLoop(f.G, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.II != best.II {
+		t.Fatalf("general case II %d != oracle II %d", st.II, best.II)
+	}
+}
+
+func TestExactLoopIILimits(t *testing.T) {
+	g := graph.New(maxLoopNodes + 1)
+	for i := 0; i <= maxLoopNodes; i++ {
+		g.AddUnit("n")
+	}
+	if _, err := OptimalLoopII(g, machine.SingleUnit(4)); !errors.Is(err, ErrTooLarge) {
+		t.Fatalf("want ErrTooLarge, got %v", err)
+	}
+	two := graph.New(2)
+	two.AddNode("a", 1, 0, 0)
+	two.AddNode("b", 1, 0, 1)
+	if _, err := OptimalLoopII(two, machine.SingleUnit(4)); err == nil {
+		t.Fatal("two-block loop accepted")
 	}
 }

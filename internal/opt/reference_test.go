@@ -8,8 +8,47 @@ import (
 	"testing"
 
 	"aisched/internal/graph"
+	"aisched/internal/hw"
 	"aisched/internal/machine"
 )
+
+// referenceOptimalTrace is the exhaustive oracle the search is checked
+// against: every emittable order (each block's segment a topological order
+// of that block, blocks ascending) replayed by hw.SimulateTrace, keeping the
+// first order of minimum completion.
+func referenceOptimalTrace(g *graph.Graph, m *machine.Machine) (int, []graph.NodeID, error) {
+	if g.Len() > DefaultMaxNodes {
+		return 0, nil, fmt.Errorf("reference: %d nodes exceeds %d", g.Len(), DefaultMaxNodes)
+	}
+	blockPerms, err := perBlockTopoOrders(g)
+	if err != nil {
+		return 0, nil, err
+	}
+	best := never
+	var bestOrder []graph.NodeID
+	var walk func(i int, acc []graph.NodeID)
+	walk = func(i int, acc []graph.NodeID) {
+		if i == len(blockPerms) {
+			res, err := hw.SimulateTrace(g, m, acc)
+			if err != nil {
+				return // deadlocking order: not achievable, skip
+			}
+			if res.Completion < best {
+				best = res.Completion
+				bestOrder = slices.Clone(acc)
+			}
+			return
+		}
+		for _, p := range blockPerms[i] {
+			walk(i+1, append(acc, p...))
+		}
+	}
+	walk(0, nil)
+	if bestOrder == nil {
+		return 0, nil, fmt.Errorf("reference: no executable order")
+	}
+	return best, bestOrder, nil
+}
 
 // referenceSimulate is the solver's original window machine, kept as an
 // independent reference for internal/hw's kernel (the way internal/rank

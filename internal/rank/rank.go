@@ -31,7 +31,6 @@ import (
 
 	"aisched/internal/graph"
 	"aisched/internal/machine"
-	"aisched/internal/obs"
 	"aisched/internal/sched"
 )
 
@@ -142,23 +141,9 @@ func Run(g *graph.Graph, m *machine.Machine, d []int, tie []graph.NodeID) (*Resu
 // rank_alg with the artificial deadline D = Big (optimal in the restricted
 // case, heuristic otherwise).
 func Makespan(g *graph.Graph, m *machine.Machine) (*sched.Schedule, error) {
-	return MakespanT(g, m, nil)
-}
-
-// MakespanT is Makespan with optional pass tracing: a pass-start/pass-end
-// pair named obs.PassRankMakespan, the end event carrying the makespan.
-func MakespanT(g *graph.Graph, m *machine.Machine, tr obs.Tracer) (*sched.Schedule, error) {
-	if tr != nil {
-		tr.Emit(obs.Event{Kind: obs.KindPassStart, Pass: obs.PassRankMakespan,
-			Block: -1, Node: graph.None, N: g.Len()})
-	}
 	res, err := Run(g, m, UniformDeadlines(g.Len(), Big), nil)
 	if err != nil {
 		return nil, err
-	}
-	if tr != nil {
-		tr.Emit(obs.Event{Kind: obs.KindPassEnd, Pass: obs.PassRankMakespan,
-			Block: -1, Node: graph.None, N: res.S.Makespan()})
 	}
 	return res.S, nil
 }

@@ -2,6 +2,8 @@ package aisched
 
 import (
 	"encoding/json"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -94,19 +96,60 @@ func TestObserverFacade(t *testing.T) {
 // TestObserverScheduleBlockAndTrace covers the remaining Observer entry
 // points: single-block scheduling and trace scheduling plus simulation.
 func TestObserverScheduleBlockAndTrace(t *testing.T) {
-	f := paperex.NewFig2()
-	m := machine.SingleUnit(2)
+	// The traced ScheduleBlock is the untraced pipeline plus events: on the
+	// paper's Figures 1 and 2 and on random blocks, its schedule is
+	// bit-identical to ScheduleBlock's, and it reports one rank pass and one
+	// Delay_Idle_Slots pass.
 	rec := NewRecorder()
 	o := WithTracer(rec)
-
-	if _, err := o.ScheduleBlock(f.G, m); err != nil {
-		t.Fatal(err)
+	type block struct {
+		g *Graph
+		m *Machine
 	}
-	s := rec.Stats()
-	if s.Passes["rank.Makespan"] != 1 || s.Passes["idle.DelayIdleSlots"] != 1 {
-		t.Errorf("ScheduleBlock passes = %v", s.Passes)
+	blocks := []block{
+		{paperex.NewFig1().G, machine.SingleUnit(2)},
+		{paperex.NewFig2().G, machine.SingleUnit(2)},
+	}
+	r := rand.New(rand.NewSource(31))
+	for i := 0; i < 50; i++ {
+		n := 2 + r.Intn(11)
+		g := NewGraph(n)
+		for v := 0; v < n; v++ {
+			g.AddNode("n", 1+r.Intn(2), 0, 0)
+		}
+		for a := 0; a < n; a++ {
+			for b := a + 1; b < n; b++ {
+				if r.Float64() < 0.3 {
+					g.MustEdge(NodeID(a), NodeID(b), r.Intn(3), 0)
+				}
+			}
+		}
+		m := machine.SingleUnit(2)
+		if i%2 == 1 {
+			m = machine.Superscalar(2, 2)
+		}
+		blocks = append(blocks, block{g, m})
+	}
+	for i, b := range blocks {
+		want, err := ScheduleBlock(b.g, b.m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec.Reset()
+		got, err := o.ScheduleBlock(b.g, b.m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got.Start, want.Start) || !slices.Equal(got.Unit, want.Unit) {
+			t.Fatalf("block %d: traced schedule %v/%v, untraced %v/%v", i, got.Start, got.Unit, want.Start, want.Unit)
+		}
+		if s := rec.Stats(); s.Passes["rank.Makespan"] != 1 || s.Passes["idle.DelayIdleSlots"] != 1 {
+			t.Fatalf("block %d: ScheduleBlock passes = %v", i, s.Passes)
+		}
 	}
 
+	f := paperex.NewFig2()
+	m := machine.SingleUnit(2)
 	rec.Reset()
 	res, err := o.ScheduleTrace(f.G, m)
 	if err != nil {
@@ -115,7 +158,7 @@ func TestObserverScheduleBlockAndTrace(t *testing.T) {
 	if _, err := o.SimulateTrace(f.G, m, res.StaticOrder()); err != nil {
 		t.Fatal(err)
 	}
-	s = rec.Stats()
+	s := rec.Stats()
 	if s.Passes["core.Lookahead"] != 1 || s.Passes["hw.simulate"] != 1 {
 		t.Errorf("ScheduleTrace+SimulateTrace passes = %v", s.Passes)
 	}

@@ -51,7 +51,7 @@ type Budget struct {
 // is cancelled the call returns ctx.Err() within one rank pass.
 func ScheduleBlockCtx(ctx context.Context, g *Graph, m *Machine) (*Schedule, error) {
 	defer observeRequest(mReqBlockNS, time.Now())
-	return scheduleBlockFused(g, m, sbudget.New(ctx, 0, 0))
+	return scheduleBlockFused(g, m, sbudget.New(ctx, 0, 0), nil)
 }
 
 // ScheduleTraceCtx is ScheduleTrace with cooperative cancellation.

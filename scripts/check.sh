@@ -40,6 +40,11 @@ echo "== optimality-gap quick sweep (E1GAP, reduced instance count)"
 # keeps the heuristic-vs-exact differential honest on every check without
 # blowing the time budget.
 go run ./cmd/experiments -t E1GAP -n 15
+echo "== optimality against the exact oracle (T4)"
+# The paper's optimality claims checked against internal/opt: Rank vs the
+# block optimum, Lookahead vs the trace optimum, the loop general case vs
+# the loop II oracle. Exits non-zero on FAIL.
+go run ./cmd/experiments -t T4
 echo "== faultinject hooks must stay test-only"
 # The fault-injection registry is for tests: no non-test file outside the
 # package itself may assign a hook (matches `faultinject.X = ...`, not `==`).
