@@ -147,7 +147,7 @@ func (o *Observer) ScheduleTrace(g *Graph, m *Machine) (*TraceResult, error) {
 
 // ScheduleLoop is the traced equivalent of the package-level ScheduleLoop.
 func (o *Observer) ScheduleLoop(g *Graph, m *Machine) (*LoopSteady, error) {
-	return loops.ScheduleLoopT(g, m, o.tr)
+	return loops.ScheduleLoopOpts(g, m, loops.Opts{Tracer: o.tr})
 }
 
 // SimulateTrace is the traced equivalent of the package-level SimulateTrace:

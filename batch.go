@@ -64,9 +64,9 @@ type SchedulerOptions struct {
 	// ScheduleTrace (fingerprint-verified segment speculation; see the
 	// "Parallel trace scheduling" README section). 0 (the default) is auto:
 	// long block-grouped traces are partitioned across GOMAXPROCS
-	// speculative workers when no per-request Budget or custom hook forces
-	// the sequential walk. Negative disables the parallel path; positive
-	// forces that many segments. Results are bit-identical in every mode.
+	// speculative workers when no per-request Budget forces the sequential
+	// walk. Negative disables the parallel path; positive forces that many
+	// segments. Results are bit-identical in every mode.
 	ParallelTrace int
 	// Tracer, when non-nil, receives cache events (hit, miss, evict,
 	// coalesce) plus cancellation/degradation events for the metrics

@@ -310,8 +310,10 @@ func runTrace(blocks []isa.Block, m *machine.Machine, rec *aisched.TraceRecorder
 	}
 	g := aisched.BuildTraceGraph(seqs)
 	// A Scheduler (with both caches off — one request has nothing to
-	// memoize) rather than the Observer, so -par reaches the core; a live
-	// Tracer disables the parallel path anyway, by design.
+	// memoize) rather than the Observer, so -par reaches the core. Its
+	// Tracer receives cache, cancellation and degradation events, not the
+	// scheduler's pass events; the cycle-level events come from the
+	// simulation below.
 	opts := aisched.SchedulerOptions{
 		CacheCapacity: -1, StepCacheCapacity: -1, ParallelTrace: parTrace,
 	}

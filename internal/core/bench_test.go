@@ -37,7 +37,6 @@ func cloneStepIn(in StepIn) StepIn {
 	v.Exec, v.Class = slices.Clone(v.Exec), slices.Clone(v.Class)
 	v.Block, v.Labels = slices.Clone(v.Block), slices.Clone(v.Labels)
 	in.View = v
-	in.Tie = slices.Clone(in.Tie)
 	in.IsOld = slices.Clone(in.IsOld)
 	in.DOld, in.FOld, in.ROld = slices.Clone(in.DOld), slices.Clone(in.FOld), slices.Clone(in.ROld)
 	in.Tracer, in.Budget = nil, nil

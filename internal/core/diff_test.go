@@ -36,16 +36,6 @@ func referenceLookahead(g *graph.Graph, m *machine.Machine, opt Options) (*Resul
 		b := g.Node(graph.NodeID(v)).Block
 		byBlock[b] = append(byBlock[b], graph.NodeID(v))
 	}
-	tiePos := make([]int, g.Len())
-	if opt.Tie != nil {
-		for i, id := range opt.Tie {
-			tiePos[id] = i
-		}
-	} else {
-		for i := range tiePos {
-			tiePos[i] = i
-		}
-	}
 	var emitted []graph.NodeID
 	var oldIDs []graph.NodeID
 	dOld := map[graph.NodeID]int{}
@@ -78,13 +68,12 @@ func referenceLookahead(g *graph.Graph, m *machine.Machine, opt Options) (*Resul
 		for _, id := range oldIDs {
 			isOld[toSub[id]] = true
 		}
-		tie := subTie(ids, tiePos)
 		rel := make([]int, sub.Len())
 		for si, oi := range ids {
 			rel[si] = relAbs[oi] - timeBase
 		}
 
-		res0, err := rank.ReferenceRunRel(sub, m, rank.UniformDeadlines(sub.Len(), rank.Big), tie, rel)
+		res0, err := rank.ReferenceRunRel(sub, m, rank.UniformDeadlines(sub.Len(), rank.Big), nil, rel)
 		if err != nil {
 			return nil, err
 		}
@@ -104,7 +93,7 @@ func referenceLookahead(g *graph.Graph, m *machine.Machine, opt Options) (*Resul
 		// deadlines, loosen the new deadlines until feasible, then the §4.2
 		// heuristic fallback syncing deadlines to achieved finishes.
 		mergeRounds := func(d []int) (*sched.Schedule, error) {
-			res, err := rank.ReferenceRunRel(sub, m, d, tie, rel)
+			res, err := rank.ReferenceRunRel(sub, m, d, nil, rel)
 			if err != nil {
 				return nil, err
 			}
@@ -114,7 +103,7 @@ func referenceLookahead(g *graph.Graph, m *machine.Machine, opt Options) (*Resul
 						d[si]++
 					}
 				}
-				res, err = rank.ReferenceRunRel(sub, m, d, tie, rel)
+				res, err = rank.ReferenceRunRel(sub, m, d, nil, rel)
 				if err != nil {
 					return nil, err
 				}
@@ -130,7 +119,7 @@ func referenceLookahead(g *graph.Graph, m *machine.Machine, opt Options) (*Resul
 				if !changed {
 					break
 				}
-				res, err = rank.ReferenceRunRel(sub, m, d, tie, rel)
+				res, err = rank.ReferenceRunRel(sub, m, d, nil, rel)
 				if err != nil {
 					return nil, err
 				}
@@ -149,7 +138,7 @@ func referenceLookahead(g *graph.Graph, m *machine.Machine, opt Options) (*Resul
 			return nil, err
 		}
 		if !opt.SkipDelay {
-			s, d, err = idle.ReferenceDelayIdleSlotsRel(s, m, d, tie, rel)
+			s, d, err = idle.ReferenceDelayIdleSlotsRel(s, m, d, nil, rel)
 			if err != nil {
 				return nil, err
 			}
@@ -174,7 +163,7 @@ func referenceLookahead(g *graph.Graph, m *machine.Machine, opt Options) (*Resul
 				return nil, err
 			}
 			if !opt.SkipDelay {
-				s2, d, err = idle.ReferenceDelayIdleSlotsRel(s2, m, d, tie, rel)
+				s2, d, err = idle.ReferenceDelayIdleSlotsRel(s2, m, d, nil, rel)
 				if err != nil {
 					return nil, err
 				}

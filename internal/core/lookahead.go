@@ -52,9 +52,9 @@ import (
 )
 
 // walkPool pools traceWalks. A walk owns every buffer of Algorithm
-// Lookahead — the walk-ID arrays (tie positions, stitched absolute schedule,
-// carried deadlines/finishes, release floors, block grouping), the per-block
-// merge state (induced view, Step, deadline/tie/mask scratch) and the result
+// Lookahead — the walk-ID arrays (stitched absolute schedule, carried
+// deadlines/finishes, release floors, block grouping), the per-block merge
+// state (induced view, Step, deadline/mask scratch) and the result
 // scratch — so batch pipelines that schedule many traces concurrently reuse
 // them per worker instead of reallocating per call. The final Result copies
 // out of everything pooled, so nothing pooled escapes.
@@ -79,9 +79,6 @@ func growKeep[T any](buf []T, n int) []T {
 
 // Options tunes Algorithm Lookahead.
 type Options struct {
-	// Tie is the rank tie-break order in original node IDs (nil = program
-	// order). Used to reproduce the paper's worked examples exactly.
-	Tie []graph.NodeID
 	// SkipDelay disables the Delay_Idle_Slots pass (ablation experiment T2).
 	SkipDelay bool
 	// Tracer, when non-nil, receives structured pass events: one
@@ -89,7 +86,9 @@ type Options struct {
 	// KindMergeLoosen event for each deadline-loosening round of merge, a
 	// KindMerge event for the merged schedule, the Delay_Idle_Slots events
 	// (see idle.DelayIdleSlotsCtx), and a KindChop event with the committed
-	// prefix, the carried-suffix size, and the chop time base.
+	// prefix, the carried-suffix size, and the chop time base. A step-cache
+	// hit emits only its KindChop event, labelled "replay". A Tracer turns
+	// neither the step cache nor the parallel path off (see parallel.go).
 	Tracer obs.Tracer
 	// Budget, when non-nil, makes the per-block loop and every rank pass a
 	// cooperative cancellation/budget checkpoint: the algorithm returns the
@@ -99,18 +98,16 @@ type Options struct {
 	// StepCache, when non-nil, memoizes whole merge + delay + chop iterations
 	// keyed by a hash of each step's full input and replays hits as
 	// relocatable fragments (see stepcache.go). Any node layout is
-	// cacheable; a custom Tie or a Tracer turns the cache off for the call.
-	// Results are bit-identical with and without it.
+	// cacheable. Results are bit-identical with and without it.
 	StepCache *StepCache
 	// Parallel selects the speculative parallel trace path (parallel.go).
 	// 0 (the default) is auto: long block-grouped traces are partitioned
 	// into speculatively scheduled segments when GOMAXPROCS ≥ 2 and no
-	// Tie/Tracer/Budget is set. Negative disables the parallel path
-	// entirely; positive forces that many segments even on one CPU (tests
-	// use this to exercise every partition width). Results are bit-identical
-	// to the sequential walk in every mode — speculation is verified by
-	// state fingerprint at each join and recomputed sequentially on any
-	// mismatch.
+	// Budget is set. Negative disables the parallel path entirely; positive
+	// forces that many segments even on one CPU (tests use this to exercise
+	// every partition width). Results are bit-identical to the sequential
+	// walk in every mode — speculation is verified by state fingerprint at
+	// each join and recomputed sequentially on any mismatch.
 	Parallel int
 }
 
@@ -219,20 +216,36 @@ func LookaheadOpts(g *graph.Graph, m *machine.Machine, opt Options) (*Result, er
 		tr.Emit(obs.Event{Kind: obs.KindPassStart, Pass: obs.PassLookahead,
 			Block: -1, Node: graph.None, N: g.Len()})
 	}
-	n := g.Len()
 	csr := graph.NewCSR(g)
 
-	// Long block-grouped traces with no per-call hooks take the speculative
-	// parallel path; everything else runs the sequential walk below. The
-	// plan gate is ordered cheapest-first, so a small trace pays one integer
-	// compare here.
+	// Long block-grouped traces without a Budget take the speculative
+	// parallel path; everything else runs the sequential walk. The plan gate
+	// is ordered cheapest-first, so a small trace pays one integer compare
+	// here.
+	var out *Result
+	var err error
 	if plan := parallelPlan(csr, &opt); plan != nil {
-		return lookaheadParallel(g, m, opt, csr, plan)
+		out, err = lookaheadParallel(g, m, opt, csr, plan)
+	} else {
+		out, err = lookaheadSequential(g, m, &opt, csr)
 	}
+	if err != nil {
+		return nil, err
+	}
+	if tr != nil {
+		tr.Emit(obs.Event{Kind: obs.KindPassEnd, Pass: obs.PassLookahead,
+			Block: -1, Node: graph.None, N: out.Makespan()})
+	}
+	return out, nil
+}
 
+// lookaheadSequential is the sequential walk: every block in ascending
+// block order, one traceWalk.block each.
+func lookaheadSequential(g *graph.Graph, m *machine.Machine, opt *Options, csr *graph.CSR) (*Result, error) {
+	n := g.Len()
 	w := walkPool.Get().(*traceWalk)
 	defer walkPool.Put(w)
-	w.init(csr.View(), m, &opt, nil)
+	w.init(csr.View(), m, opt, nil)
 
 	// Group nodes by block with a stable sort of the identity permutation:
 	// within each block IDs stay ascending, and blocks are visited in
@@ -252,15 +265,7 @@ func LookaheadOpts(g *graph.Graph, m *machine.Machine, opt Options) (*Result, er
 		}
 		lo = hi
 	}
-	out, err := w.result(g)
-	if err != nil {
-		return nil, err
-	}
-	if tr != nil {
-		tr.Emit(obs.Event{Kind: obs.KindPassEnd, Pass: obs.PassLookahead,
-			Block: -1, Node: graph.None, N: out.Makespan()})
-	}
-	return out, nil
+	return w.result(g)
 }
 
 // Unbounded is the lookahead of a walk that only the chop rule finalizes:
@@ -283,7 +288,6 @@ type traceWalk struct {
 	m      *machine.Machine
 	sc     *StepCache
 	skip   bool
-	tiePos []int // tie positions by walk ID; empty = identity (program order)
 	tr     obs.Tracer
 	budget *sbudget.State
 	groups *blockGroups // the parallel path's group table (nil elsewhere)
@@ -324,7 +328,6 @@ type traceWalk struct {
 	byBlock []graph.NodeID
 	iota    []graph.NodeID // 0, 1, 2, …; see identity
 	ids     []graph.NodeID // view ID → walk ID of an induced view
-	tie     []graph.NodeID
 	isOld   []bool
 	dv      []int // per-view carried deadlines handed to Step
 	fv      []int // per-view carried finishes handed to Step
@@ -349,19 +352,7 @@ func (w *traceWalk) init(view graph.AdjView, m *machine.Machine, opt *Options, g
 	w.view, w.m = view, m
 	w.sc, w.skip, w.groups = opt.StepCache, opt.SkipDelay, gr
 	w.tr, w.budget = opt.Tracer, opt.Budget
-	if opt.Tie != nil || opt.Tracer != nil {
-		// The step key assumes the identity tie-break, and a replayed hit
-		// emits no per-pass events.
-		w.sc = nil
-	}
 	w.k = Unbounded
-	w.tiePos = w.tiePos[:0]
-	if opt.Tie != nil {
-		w.tiePos = growSlice(w.tiePos, n)
-		for i, id := range opt.Tie {
-			w.tiePos[id] = i
-		}
-	}
 	w.byBlock = growSlice(w.byBlock, n)
 	for i := range w.byBlock {
 		w.byBlock[i] = graph.NodeID(i)
@@ -429,17 +420,12 @@ func (w *traceWalk) block(newIDs []graph.NodeID, b int) error {
 			}
 		}
 	}
-	tie := w.identity(n)
-	if len(w.tiePos) != 0 {
-		w.tie = subTieInto(w.tie, ids, w.tiePos)
-		tie = w.tie
-	}
 	w.rv = growSlice(w.rv, n)
 	for si, id := range ids {
 		w.rv[si] = w.relAbs[id] - w.timeBase
 	}
 	w.stepIn = StepIn{
-		View: view, M: w.m, Tie: tie, IsOld: isOld,
+		View: view, M: w.m, IsOld: isOld,
 		DOld: dOld, FOld: fOld, ROld: w.rv,
 		OldCount: len(old), OldMakespan: w.oldMakespan,
 		Block: b, SkipDelay: w.skip,
@@ -603,24 +589,6 @@ func (w *traceWalk) result(g *graph.Graph) (*Result, error) {
 		out.BlockOrders[bb] = append(out.BlockOrders[bb], id)
 	}
 	return out, nil
-}
-
-// subTie converts the original-ID tie positions into a tie order over the
-// subgraph's IDs.
-func subTie(ids []graph.NodeID, tiePos []int) []graph.NodeID {
-	return subTieInto(nil, ids, tiePos)
-}
-
-// subTieInto is subTie into a reusable buffer.
-func subTieInto(order []graph.NodeID, ids []graph.NodeID, tiePos []int) []graph.NodeID {
-	order = growSlice(order, len(ids))
-	for i := range order {
-		order[i] = graph.NodeID(i)
-	}
-	slices.SortStableFunc(order, func(a, b graph.NodeID) int {
-		return tiePos[ids[a]] - tiePos[ids[b]]
-	})
-	return order
 }
 
 // chop is the one-shot form of chopScratch.chop, returning caller-owned

@@ -159,22 +159,6 @@ func TestLookaheadSkipDelayAblation(t *testing.T) {
 	}
 }
 
-func TestLookaheadPaperTieReproducesFigure2Narrative(t *testing.T) {
-	// With the paper's §2.1 tie order for BB1, the algorithm still reaches
-	// makespan 11 (the tie order only changes which optimal schedule is
-	// found).
-	f := paperex.NewFig2()
-	m := machine.SingleUnit(2)
-	tie := []graph.NodeID{f.E, f.X, f.B, f.W, f.A, f.R, f.Z, f.Q, f.P, f.V, f.Gn}
-	res, err := LookaheadOpts(f.G, m, Options{Tie: tie})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Makespan() != 11 {
-		t.Fatalf("makespan = %d, want 11", res.Makespan())
-	}
-}
-
 // randomTrace builds a trace of nblocks blocks with about nodesPer nodes
 // each, intra-block edge probability pIn and cross-block (forward, adjacent
 // blocks only) probability pX; 0/1 latencies, unit exec, class 0.

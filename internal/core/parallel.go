@@ -40,13 +40,16 @@ package core
 //     driver recomputes the segment sequentially from its true state (the
 //     worker's step-cache insertions still make that recompute cheap).
 //
-// The parallel path engages only where it is provably transparent: no
-// custom Tie (the walk assumes the identity tie-break), no Tracer (workers
-// emit no events and event order would be meaningless), no Budget
+// A Tracer sees the sequential walk's events in block order: each worker
+// traces nothing during its discarded warm-up and buffers its segment's
+// events, which the driver re-emits after a verified join and drops on a
+// mismatch, where the sequential recompute emits its own.
+//
+// The parallel path engages only for node IDs grouped by block in
+// ascending order (segments are contiguous ID ranges) and no Budget
 // (speculative passes must not charge a request's rank-pass budget, and a
-// cancellable request keeps the fully-checkpointed sequential path), and
-// node IDs grouped by block in ascending order (segments are contiguous ID
-// ranges). Everything else falls through to the sequential walk unchanged.
+// cancellable request keeps the fully-checkpointed sequential path).
+// Everything else falls through to the sequential walk unchanged.
 
 import (
 	"fmt"
@@ -56,6 +59,7 @@ import (
 	"aisched/internal/graph"
 	"aisched/internal/machine"
 	"aisched/internal/metrics"
+	"aisched/internal/obs"
 	"aisched/internal/sched"
 )
 
@@ -237,10 +241,7 @@ func parallelPlan(csr *graph.CSR, opt *Options) *parPlan {
 	if opt.Parallel > 0 {
 		minGroups = parForcedMinGroups
 	}
-	if opt.Parallel < 0 || csr.Len() < minGroups {
-		return nil
-	}
-	if opt.Tie != nil || opt.Tracer != nil || opt.Budget != nil {
+	if opt.Parallel < 0 || csr.Len() < minGroups || opt.Budget != nil {
 		return nil
 	}
 	procs := runtime.GOMAXPROCS(0)
@@ -350,12 +351,15 @@ type specWorker struct {
 	cutBase  int
 	entryRel []int // assumed absolute floors over the segment's node range
 
+	events *obs.Recorder // the segment's trace events; nil when untraced
+
 	err  error
 	done chan struct{}
 }
 
 // run executes the speculation: an empty-suffix warm-up over the blocks
-// just before the cut, then the segment itself. Any panic becomes a
+// just before the cut, untraced, then the segment itself, recorded into
+// wk.events when opt has a Tracer. Any panic becomes a
 // per-segment error and a sequential recompute — one poisoned speculation
 // never takes down the request.
 func (wk *specWorker) run(csr *graph.CSR, m *machine.Machine, opt *Options, gr *blockGroups) {
@@ -367,6 +371,7 @@ func (wk *specWorker) run(csr *graph.CSR, m *machine.Machine, opt *Options, gr *
 	}()
 	wk.walk = walkPool.Get().(*traceWalk)
 	wk.walk.init(csr.View(), m, opt, gr)
+	wk.walk.tr = nil
 	if err := wk.walk.runGroups(max(wk.gLo-specWarmupGroups, 0), wk.gLo); err != nil {
 		wk.err = err
 		return
@@ -381,6 +386,10 @@ func (wk *specWorker) run(csr *graph.CSR, m *machine.Machine, opt *Options, gr *
 	wk.entryRel = append(wk.entryRel[:0], wk.walk.relAbs[lo:hi]...)
 	wk.walk.emitted = wk.walk.emitted[:0]
 	wk.walk.logFloors = true
+	if opt.Tracer != nil {
+		wk.events = obs.NewRecorder()
+		wk.walk.tr = wk.events
+	}
 	wk.err = wk.walk.runGroups(wk.gLo, wk.gHi)
 }
 
@@ -446,6 +455,11 @@ func lookaheadParallel(g *graph.Graph, m *machine.Machine, opt Options, csr *gra
 		if accept {
 			mSpecHits.Inc()
 			drv.splice(wk)
+			if tr := opt.Tracer; tr != nil {
+				for _, e := range wk.events.Events() {
+					tr.Emit(e)
+				}
+			}
 		} else {
 			mSpecMisses.Inc()
 			mSpecFallbackBlocks.Add(uint64(wk.gHi - wk.gLo))

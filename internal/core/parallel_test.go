@@ -210,7 +210,7 @@ func repetitiveChainTrace(blocks, size int) *graph.Graph {
 
 // TestParallelTraceGates pins every condition that must keep the parallel
 // path off: explicit disable, short traces under the auto threshold, a
-// custom Tie, a Tracer, a Budget, and node IDs not grouped by block.
+// Budget, and node IDs not grouped by block.
 func TestParallelTraceGates(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	long, err := workload.LongTrace(r, workload.DefaultLongTrace(64))
@@ -228,10 +228,6 @@ func TestParallelTraceGates(t *testing.T) {
 		interleaved.AddNode("", 1, 0, i%8)
 	}
 	m := machine.SingleUnit(4)
-	tie := make([]graph.NodeID, long.Len())
-	for i := range tie {
-		tie[i] = graph.NodeID(len(tie) - 1 - i)
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	cases := []struct {
@@ -241,8 +237,6 @@ func TestParallelTraceGates(t *testing.T) {
 	}{
 		{"disabled", long, Options{Parallel: -1}},
 		{"auto-small-trace", small, Options{Parallel: 0}},
-		{"custom-tie", long, Options{Parallel: 4, Tie: tie}},
-		{"tracer", long, Options{Parallel: 4, Tracer: obs.NewRecorder()}},
 		{"budget", long, Options{Parallel: 4, Budget: sbudget.New(ctx, time.Hour, 1<<30)}},
 		{"ungrouped-ids", interleaved, Options{Parallel: 4}},
 	}
@@ -262,6 +256,47 @@ func TestParallelTraceGates(t *testing.T) {
 	}
 	if got := SpecCounters().Runs; got != before+1 {
 		t.Fatalf("control: parallel path did not engage (runs %d -> %d)", before, got)
+	}
+}
+
+// TestSpeculativeTraceTraced: a Tracer keeps the parallel path. A traced
+// forced-parallel long trace engages speculation, and its result and event
+// list equal the traced sequential walk's: workers' events arrive in block
+// order, and a rejected segment's are replaced by its recompute's.
+func TestSpeculativeTraceTraced(t *testing.T) {
+	hits := SpecCounters().Hits
+	for seed := 0; seed < 10; seed++ {
+		g, m := specTestInstance(t, seed)
+		seqRec := obs.NewRecorder()
+		seq, err := LookaheadOpts(g, m, Options{Parallel: -1, Tracer: seqRec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range []int{2, 4} {
+			tag := fmt.Sprintf("seed %d p=%d", seed, p)
+			before := SpecCounters().Runs
+			rec := obs.NewRecorder()
+			par, err := LookaheadOpts(g, m, Options{Parallel: p, Tracer: rec})
+			if err != nil {
+				t.Fatalf("%s: %v", tag, err)
+			}
+			if SpecCounters().Runs == before {
+				t.Fatalf("%s: traced run did not take the parallel path", tag)
+			}
+			requireSameResult(t, tag, seq, par)
+			want, got := seqRec.Events(), rec.Events()
+			if len(got) != len(want) {
+				t.Fatalf("%s: %d events, sequential %d", tag, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%s: event %d = %+v, sequential %+v", tag, i, got[i], want[i])
+				}
+			}
+		}
+	}
+	if SpecCounters().Hits == hits {
+		t.Fatal("no speculation verified: no worker's events were re-emitted")
 	}
 }
 

@@ -49,12 +49,10 @@ type Step struct {
 // StepIn is one merge iteration's input. IsOld, DOld and FOld are indexed by
 // view node ID; DOld (the carried deadline) and FOld (the carried finish
 // time, both rebased to the current chop frame) are read only where IsOld is
-// set.
+// set. Rank ties break in view-ID order, which is program order.
 type StepIn struct {
 	View graph.AdjView
 	M    *machine.Machine
-	// Tie is the rank tie-break order over view IDs.
-	Tie []graph.NodeID
 	// IsOld marks the carried-suffix nodes of the view.
 	IsOld []bool
 	// DOld[si] is the carried deadline of old node si (frame-relative).
@@ -146,7 +144,7 @@ func (st *Step) Run(in *StepIn) (StepOut, error) {
 	if err != nil {
 		return StepOut{}, err
 	}
-	res0, err := rc.RunRanks(ranks, d, in.Tie)
+	res0, err := rc.RunRanks(ranks, d, nil)
 	if err != nil {
 		return StepOut{}, err
 	}
@@ -174,7 +172,7 @@ func (st *Step) Run(in *StepIn) (StepOut, error) {
 
 	// ---- Delay_Idle_Slots ----
 	if !in.SkipDelay {
-		s, d, err = idle.DelayIdleSlotsCtx(rc, s, d, in.Tie, tr)
+		s, d, err = idle.DelayIdleSlotsCtx(rc, s, d, nil, tr)
 		if err != nil {
 			return StepOut{}, err
 		}
@@ -224,7 +222,7 @@ func (st *Step) Run(in *StepIn) (StepOut, error) {
 			return StepOut{}, err
 		}
 		if !in.SkipDelay {
-			s2, d, err = idle.DelayIdleSlotsCtx(rc, s2, d, in.Tie, tr)
+			s2, d, err = idle.DelayIdleSlotsCtx(rc, s2, d, nil, tr)
 			if err != nil {
 				return StepOut{}, err
 			}
@@ -268,7 +266,7 @@ func (st *Step) mergeRounds(in *StepIn, d []int, repin bool) (*sched.Schedule, e
 	if err != nil {
 		return nil, err
 	}
-	res, err := rc.RunRanks(ranks, d, in.Tie)
+	res, err := rc.RunRanks(ranks, d, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -293,7 +291,7 @@ func (st *Step) mergeRounds(in *StepIn, d []int, repin bool) (*sched.Schedule, e
 		if ranks, err = rc.Refresh(d); err != nil {
 			return nil, err
 		}
-		res, err = rc.RunRanks(ranks, d, in.Tie)
+		res, err = rc.RunRanks(ranks, d, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -318,7 +316,7 @@ func (st *Step) mergeRounds(in *StepIn, d []int, repin bool) (*sched.Schedule, e
 		if ranks, err = rc.Refresh(d); err != nil {
 			return nil, err
 		}
-		res, err = rc.RunRanks(ranks, d, in.Tie)
+		res, err = rc.RunRanks(ranks, d, nil)
 		if err != nil {
 			return nil, err
 		}

@@ -12,9 +12,9 @@ package core
 // A Step.Run outcome is a deterministic function of its StepIn: the view's
 // content (node attributes and edges), the machine (unit counts and
 // window), the carried suffix state (IsOld/DOld/FOld/OldCount/OldMakespan),
-// the release floors, SkipDelay, and the rank tie-break. Tracer and Budget
-// affect only events and cancellation, never the schedule, and the walk
-// hands the cache only identity tie-breaks, so none of the three is keyed.
+// the release floors and SkipDelay; rank ties always break in view-ID
+// order. Tracer and Budget affect only events and cancellation, never the
+// schedule, so neither is keyed.
 // The key is a 128-bit graph.Hasher sum over:
 //
 //   - the constants: view size, OldCount, OldMakespan, SkipDelay, window,
@@ -42,9 +42,9 @@ package core
 // no edges and floor 1 on every node, and the second would replay the
 // first's schedule.
 //
-// Two things turn the cache off for a whole call, in traceWalk.init: a
-// custom Tie (the key assumes the identity tie-break) and an attached
-// Tracer (a replayed hit emits no per-pass events).
+// A traced hit emits the KindChop event its Run would have emitted,
+// labelled "replay", in place of that Run's merge and delay events, so chop
+// counts do not depend on the cache.
 //
 // # Fragment and relocation
 //
@@ -71,6 +71,7 @@ import (
 
 	"aisched/internal/graph"
 	"aisched/internal/memo"
+	"aisched/internal/obs"
 )
 
 // stepKeySeed seeds the step-key hasher, disjoint from the parallel
@@ -128,19 +129,23 @@ func (f *stepFrag) ApproxBytes() int {
 	return 96 + 4*(len(f.start)+len(f.unit)+len(f.d)+len(f.minus)+len(f.plus))
 }
 
-// RunMemo is Step.Run behind the step cache. With sc nil it is Run. The
-// caller owns the bypass decision: a custom Tie or an attached Tracer must
-// come with sc nil (see the package comment). On a miss the full Run
-// executes and its outcome is stored; on a hit the fragment replays into
-// Step-owned scratch — StepOut.S then aliases the Step like D, Minus and
-// Plus, valid until the next Run or RunMemo.
+// RunMemo is Step.Run behind the step cache. With sc nil it is Run. On a
+// miss the full Run executes and its outcome is stored; on a hit the
+// fragment replays into Step-owned scratch — StepOut.S then aliases the
+// Step like D, Minus and Plus, valid until the next Run or RunMemo — and a
+// traced hit emits its replayed KindChop event.
 func (st *Step) RunMemo(in *StepIn, sc *StepCache) (StepOut, error) {
 	if sc == nil {
 		return st.Run(in)
 	}
 	key := st.stepKey(in)
 	if v, ok := sc.c.Get(key); ok {
-		return st.replay(in, v.(*stepFrag)), nil
+		out := st.replay(in, v.(*stepFrag))
+		if tr := in.Tracer; tr != nil {
+			tr.Emit(obs.Event{Kind: obs.KindChop, Block: in.Block, Node: graph.None,
+				Label: "replay", From: len(out.Minus), To: len(out.Plus), N: out.Base})
+		}
+		return out, nil
 	}
 	out, err := st.Run(in)
 	if err != nil {

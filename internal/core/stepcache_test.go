@@ -228,59 +228,47 @@ func TestStepCacheMaxOldGatingBypass(t *testing.T) {
 	replayTwice(t, "straddle", g, 2)
 }
 
-// TestStepCacheCustomTieBypass: a custom tie order must bypass the cache and
-// still reproduce the paper-exact result.
-func TestStepCacheCustomTieBypass(t *testing.T) {
-	r := rand.New(rand.NewSource(3))
-	g := dupBlockTrace(r, 6, 4, 1, 1, 1, 0)
-	tie := make([]graph.NodeID, g.Len())
-	for i := range tie {
-		tie[i] = graph.NodeID(g.Len() - 1 - i)
-	}
-	m := machine.SingleUnit(3)
-	want, err := LookaheadOpts(g, m, Options{Tie: tie})
+// TestStepCacheTracerTransparent: attaching a Tracer changes nothing the
+// step cache does. A traced sequential run returns the untraced run's
+// result and moves a fresh cache's counters exactly as the untraced run
+// does; each hit emits its replayed chop, so the chop count equals the
+// cache-off traced run's.
+func TestStepCacheTracerTransparent(t *testing.T) {
+	g := chainTrace(40, 5, 2)
+	m := machine.SingleUnit(4)
+	plain := NewStepCache(StepCacheConfig{})
+	want, err := LookaheadOpts(g, m, Options{Parallel: -1, StepCache: plain})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sc := NewStepCache(StepCacheConfig{})
-	got, err := LookaheadOpts(g, m, Options{Tie: tie, StepCache: sc})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameResult(t, "tie", got, want)
-	if c := sc.Counters(); c.Hits != 0 || c.Misses != 0 {
-		t.Fatalf("custom-tie run touched the cache: %+v", c)
-	}
-}
-
-// TestStepCacheTracerBypass: an attached Tracer changes what a step must
-// produce (per-pass events), so RunMemo must bypass the cache entirely —
-// no counter movement — while the result stays bit-identical to both the
-// cache-off tracer run and the traced event stream stays non-empty.
-func TestStepCacheTracerBypass(t *testing.T) {
-	r := rand.New(rand.NewSource(7))
-	g := dupBlockTrace(r, 6, 4, 1, 1, 1, 0)
-	m := machine.SingleUnit(3)
 	rec := obs.NewRecorder()
-	want, err := LookaheadOpts(g, m, Options{Tracer: rec})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rec.Events()) == 0 {
-		t.Fatal("tracer attached but no events recorded")
-	}
-	sc := NewStepCache(StepCacheConfig{})
-	rec2 := obs.NewRecorder()
-	got, err := LookaheadOpts(g, m, Options{Tracer: rec2, StepCache: sc})
+	got, err := LookaheadOpts(g, m, Options{Parallel: -1, StepCache: sc, Tracer: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sameResult(t, "tracer", got, want)
-	if c := sc.Counters(); c.Hits != 0 || c.Misses != 0 {
-		t.Fatalf("traced run touched the cache: %+v", c)
+	if a, b := sc.Counters(), plain.Counters(); a != b {
+		t.Fatalf("traced cache counters %+v, untraced %+v", a, b)
 	}
-	if a, b := len(rec.Events()), len(rec2.Events()); a != b {
-		t.Fatalf("cache-off and cache-on traced runs emitted %d vs %d events", a, b)
+	if sc.Counters().Hits == 0 {
+		t.Fatal("no step-cache hits: the trace exercises no replay")
+	}
+	off := obs.NewRecorder()
+	if _, err := LookaheadOpts(g, m, Options{Parallel: -1, Tracer: off}); err != nil {
+		t.Fatal(err)
+	}
+	if a, b := rec.Stats().Chops, off.Stats().Chops; a != b {
+		t.Fatalf("cache-on traced run counted %d chops, cache-off %d", a, b)
+	}
+	replays := 0
+	for _, e := range rec.Events() {
+		if e.Kind == obs.KindChop && e.Label == "replay" {
+			replays++
+		}
+	}
+	if uint64(replays) != sc.Counters().Hits {
+		t.Fatalf("%d replay chop events for %d hits", replays, sc.Counters().Hits)
 	}
 }
 
@@ -308,14 +296,12 @@ func carriedStepIn(m *machine.Machine, lat [][]int, floors, behind []int, b int,
 			}
 		}
 	}
-	tie := make([]graph.NodeID, n)
 	isOld := make([]bool, n)
-	for i := range tie {
-		tie[i] = graph.NodeID(i)
+	for i := range isOld {
 		isOld[i] = i < len(dOld)
 	}
 	return &StepIn{
-		View: graph.NewCSR(g).View(), M: m, Tie: tie, IsOld: isOld,
+		View: graph.NewCSR(g).View(), M: m, IsOld: isOld,
 		DOld: append(dOld, make([]int, n-len(dOld))...), FOld: append(fOld, make([]int, n-len(fOld))...),
 		ROld: append([]int(nil), floors...), OldCount: len(dOld), OldMakespan: oldMakespan, Block: b,
 	}

@@ -88,14 +88,14 @@ type StreamOptions struct {
 	// value) is fully online, Unbounded is batch-identical. Negative values
 	// are treated as 0.
 	Lookahead int
-	// Tracer, when non-nil, receives a KindStreamPush event per push, a
-	// KindStreamEmit event per finalized block, and the per-merge events of
-	// Step (merge, loosen, pin, chop, idle-slot moves).
+	// Tracer, when non-nil, receives a KindStreamPush event per accepted
+	// push (N 0 after a budget-degraded one), a KindStreamEmit event per
+	// finalized block, and the per-merge events of Step (merge, loosen, pin,
+	// chop, idle-slot moves; a step-cache hit emits only its replayed chop).
 	Tracer obs.Tracer
 	// StepCache, when non-nil, memoizes whole merge + delay + chop push
 	// iterations keyed by a hash of each push's step input (see
-	// stepcache.go). A Tracer turns it off, to keep per-pass events.
-	// Results are bit-identical with and without it.
+	// stepcache.go). Results are bit-identical with and without it.
 	StepCache *StepCache
 }
 
@@ -200,10 +200,13 @@ func (e *Stream) Push(b StreamBlock, bud *sbudget.State) ([]*BlockResult, error)
 
 	w.budget = bud
 	if err := w.block(w.identity(w.view.N)[nOld:], pushIdx); err != nil {
-		if reason := sbudget.Reason(err); reason != "" {
-			return e.degrade(reason)
+		reason := sbudget.Reason(err)
+		if reason == "" {
+			return nil, e.poison(err)
 		}
-		return nil, e.poison(err)
+		if err := e.degrade(reason); err != nil {
+			return nil, err
+		}
 	}
 	e.record()
 	if w.tr != nil {
@@ -263,10 +266,10 @@ func (e *Stream) pop(pushIdx int) []*BlockResult {
 	return out
 }
 
-// degrade finalizes the whole live window with the baseline critical-path
+// degrade commits the whole live window with the baseline critical-path
 // list schedule (per-block, no anticipation), tags every affected block, and
-// leaves the stream empty and accepting.
-func (e *Stream) degrade(reason string) ([]*BlockResult, error) {
+// leaves the suffix empty and the stream accepting.
+func (e *Stream) degrade(reason string) error {
 	w := &e.walk
 	n := len(e.gid)
 	tg := graph.New(n)
@@ -280,7 +283,7 @@ func (e *Stream) degrade(reason string) ([]*BlockResult, error) {
 	}
 	order, err := baseline.ScheduleTrace(baseline.CriticalPath{}, tg, w.m)
 	if err != nil {
-		return nil, e.poison(err)
+		return e.poison(err)
 	}
 	// The carried releases still apply: latencies owed to already-emitted
 	// instructions must hold in the degraded placement too.
@@ -290,7 +293,7 @@ func (e *Stream) degrade(reason string) ([]*BlockResult, error) {
 	}
 	s, err := sched.ListScheduleRelease(tg, w.m, order, w.rv)
 	if err != nil {
-		return nil, e.poison(err)
+		return e.poison(err)
 	}
 	for _, a := range e.blocks {
 		a.res.Degraded = reason
@@ -301,8 +304,7 @@ func (e *Stream) degrade(reason string) ([]*BlockResult, error) {
 	w.carried = w.carried[:0]
 	w.oldMakespan = 0
 	w.timeBase += s.Makespan()
-	e.record()
-	return e.pop(e.pushed - 1), nil
+	return nil
 }
 
 // ingest compacts the live store down to the carried suffix, appends block

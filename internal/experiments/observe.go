@@ -31,7 +31,7 @@ func O1() (*Result, error) {
 	res := &Result{ID: "O1", Table: t, Passed: true}
 
 	sched := obs.NewRecorder()
-	best, err := loops.ScheduleLoopT(f.G, m, sched)
+	best, err := loops.ScheduleLoopOpts(f.G, m, loops.Opts{Tracer: sched})
 	if err != nil {
 		return nil, err
 	}

@@ -78,13 +78,6 @@ func SimulateTrace(g *graph.Graph, m *machine.Machine, order []graph.NodeID) (*R
 	return simulate(g, m, order, 1, Options{Speculate: true})
 }
 
-// SimulateTraceT is SimulateTrace with cycle-level tracing: issue events
-// with idle-slot fill attribution, per-cycle stall reasons, window
-// head/occupancy changes. A nil tracer is equivalent to SimulateTrace.
-func SimulateTraceT(g *graph.Graph, m *machine.Machine, order []graph.NodeID, tr obs.Tracer) (*Result, error) {
-	return simulate(g, m, order, 1, Options{Speculate: true, Tracer: tr})
-}
-
 // SimulateLoop executes iters iterations of a loop body graph whose
 // per-iteration static order is `order`. An edge (u, v) with distance d
 // constrains instance (v, k) by instance (u, k−d); instances with k−d < 0

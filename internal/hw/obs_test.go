@@ -187,7 +187,7 @@ func TestCrossBlockFillAttribution(t *testing.T) {
 	order := []graph.NodeID{a, b, c, d}
 
 	rec := obs.NewRecorder()
-	if _, err := SimulateTraceT(g, machine.SingleUnit(4), order, rec); err != nil {
+	if _, err := SimulateLoop(g, machine.SingleUnit(4), order, 1, Options{Speculate: true, Tracer: rec}); err != nil {
 		t.Fatal(err)
 	}
 	s := rec.Stats()
@@ -196,7 +196,7 @@ func TestCrossBlockFillAttribution(t *testing.T) {
 	}
 
 	rec = obs.NewRecorder()
-	if _, err := SimulateTraceT(g, machine.SingleUnit(1), order, rec); err != nil {
+	if _, err := SimulateLoop(g, machine.SingleUnit(1), order, 1, Options{Speculate: true, Tracer: rec}); err != nil {
 		t.Fatal(err)
 	}
 	if s := rec.Stats(); s.CrossBlockFills != 0 || s.SameBlockFills != 0 {

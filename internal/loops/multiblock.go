@@ -13,7 +13,7 @@ import (
 // Opts tunes the loop schedulers.
 type Opts struct {
 	// Tracer, when non-nil, receives the pass events documented on
-	// ScheduleSingleBlockLoopT and ScheduleLoopTraceT.
+	// scheduleSingleBlockLoopOpts and scheduleLoopTraceOpts.
 	Tracer obs.Tracer
 	// Budget, when non-nil, makes every candidate evaluation and rank pass
 	// a cooperative cancellation/budget checkpoint; the scheduler returns
@@ -35,19 +35,13 @@ type Opts struct {
 // and are handled only by the steady-state evaluation (heuristic regime, as
 // in the paper).
 func ScheduleLoopTrace(g *graph.Graph, m *machine.Machine) (*Steady, error) {
-	return ScheduleLoopTraceT(g, m, nil)
+	return scheduleLoopTraceOpts(g, m, Opts{})
 }
 
-// ScheduleLoopTraceT is ScheduleLoopTrace with optional tracing: the inner
-// Algorithm Lookahead run over the augmented trace emits its usual
-// merge/delay/chop events, and the evaluated body order emits one
-// KindIICandidate event of kind "trace".
-func ScheduleLoopTraceT(g *graph.Graph, m *machine.Machine, tr obs.Tracer) (*Steady, error) {
-	return scheduleLoopTraceOpts(g, m, Opts{Tracer: tr})
-}
-
-// scheduleLoopTraceOpts is the option-threading implementation behind
-// ScheduleLoopTraceT and ScheduleLoopOpts.
+// scheduleLoopTraceOpts is ScheduleLoopTrace with options, behind
+// ScheduleLoopOpts. A Tracer sees the inner Algorithm Lookahead run over the
+// augmented trace emit its usual merge/delay/chop events, and the evaluated
+// body order emit one KindIICandidate event of kind "trace".
 func scheduleLoopTraceOpts(g *graph.Graph, m *machine.Machine, o Opts) (*Steady, error) {
 	tr := o.Tracer
 	blocks := blockSet(g)
@@ -119,13 +113,7 @@ func scheduleLoopTraceOpts(g *graph.Graph, m *machine.Machine, o Opts) (*Steady,
 // ScheduleLoop dispatches on the body structure: the §5.2 single-block
 // algorithm for one block, the §5.1 trace algorithm otherwise.
 func ScheduleLoop(g *graph.Graph, m *machine.Machine) (*Steady, error) {
-	return ScheduleLoopT(g, m, nil)
-}
-
-// ScheduleLoopT is ScheduleLoop with optional tracing (see
-// ScheduleSingleBlockLoopT and ScheduleLoopTraceT).
-func ScheduleLoopT(g *graph.Graph, m *machine.Machine, tr obs.Tracer) (*Steady, error) {
-	return ScheduleLoopOpts(g, m, Opts{Tracer: tr})
+	return ScheduleLoopOpts(g, m, Opts{})
 }
 
 // ScheduleLoopOpts is ScheduleLoop with full options (tracing plus the

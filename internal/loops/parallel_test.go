@@ -66,7 +66,7 @@ func TestDifferentialParallelCandidateSearchMatchesSerial(t *testing.T) {
 
 		setCandidateWorkers(t, 1)
 		serialRec := obs.NewRecorder()
-		serial, err := ScheduleSingleBlockLoopT(g, m, serialRec)
+		serial, err := ScheduleLoopOpts(g, m, Opts{Tracer: serialRec})
 		if err != nil {
 			t.Fatalf("seed %d: serial: %v", seed, err)
 		}
@@ -74,7 +74,7 @@ func TestDifferentialParallelCandidateSearchMatchesSerial(t *testing.T) {
 		for _, workers := range []int{2, 4, 16} {
 			setCandidateWorkers(t, workers)
 			rec := obs.NewRecorder()
-			par, err := ScheduleSingleBlockLoopT(g, m, rec)
+			par, err := ScheduleLoopOpts(g, m, Opts{Tracer: rec})
 			if err != nil {
 				t.Fatalf("seed %d workers %d: parallel: %v", seed, workers, err)
 			}
@@ -108,7 +108,7 @@ func TestRaceParallelCandidateSearch(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		g := manyCandidateLoop(r, 6+r.Intn(6))
 		for _, m := range []*machine.Machine{machine.SingleUnit(4), machine.Superscalar(2, 4)} {
-			st, err := ScheduleSingleBlockLoopT(g, m, obs.NewRecorder())
+			st, err := ScheduleLoopOpts(g, m, Opts{Tracer: obs.NewRecorder()})
 			if err != nil {
 				t.Fatalf("seed %d on %s: %v", seed, m.Name, err)
 			}

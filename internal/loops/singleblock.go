@@ -209,7 +209,7 @@ func candidatesLI(g, li *graph.Graph) (sources, sinks []graph.NodeID) {
 // evaluate each in the periodic steady-state model, and keep the best
 // (smallest II, ties broken by smaller intra-iteration makespan).
 func ScheduleSingleBlockLoop(g *graph.Graph, m *machine.Machine) (*Steady, error) {
-	return ScheduleSingleBlockLoopT(g, m, nil)
+	return scheduleSingleBlockLoopOpts(g, m, Opts{})
 }
 
 // baseOrder computes the baseline candidate: the block-optimal order from
@@ -287,25 +287,20 @@ func runCandidate(i int, fn func(i int) error) (err error) {
 	return fn(i)
 }
 
-// ScheduleSingleBlockLoopT is ScheduleSingleBlockLoop with optional tracing:
-// every candidate evaluation emits a KindIICandidate event (candidate kind
-// "base", "source" or "sink"; the candidate instruction; the achieved II and
-// intra-iteration makespan), bracketed by a pass-start/pass-end pair named
-// obs.PassLoop whose end event carries the best II.
+// scheduleSingleBlockLoopOpts is ScheduleSingleBlockLoop with options, behind
+// ScheduleLoopOpts. A Tracer sees every candidate evaluation as a
+// KindIICandidate event (candidate kind "base", "source" or "sink"; the
+// candidate instruction; the achieved II and intra-iteration makespan),
+// bracketed by a pass-start/pass-end pair named obs.PassLoop whose end event
+// carries the best II.
 //
 // Candidates are evaluated concurrently on a GOMAXPROCS-bounded worker pool;
 // each candidate schedules a private graph copy, and results are consumed in
 // candidate order, so the chosen schedule and emitted trace are identical to
-// a serial evaluation.
-func ScheduleSingleBlockLoopT(g *graph.Graph, m *machine.Machine, tr obs.Tracer) (*Steady, error) {
-	return scheduleSingleBlockLoopOpts(g, m, Opts{Tracer: tr})
-}
-
-// scheduleSingleBlockLoopOpts is the option-threading implementation behind
-// ScheduleSingleBlockLoopT and ScheduleLoopOpts. The request's budget state
-// is shared by all candidate workers (it is concurrency-safe), so the
-// combined candidate search is metered as one request: each candidate starts
-// with a checkpoint and every rank pass inside it is charged.
+// a serial evaluation. The request's budget state is shared by all candidate
+// workers (it is concurrency-safe), so the combined candidate search is
+// metered as one request: each candidate starts with a checkpoint and every
+// rank pass inside it is charged.
 func scheduleSingleBlockLoopOpts(g *graph.Graph, m *machine.Machine, o Opts) (*Steady, error) {
 	tr := o.Tracer
 	if g.Len() == 0 {

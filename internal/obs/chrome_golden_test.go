@@ -24,7 +24,7 @@ func fig3Trace(t *testing.T) *obs.Recorder {
 	f := paperex.NewFig3()
 	m := machine.SingleUnit(4)
 	rec := obs.NewRecorder()
-	st, err := loops.ScheduleLoopT(f.G, m, rec)
+	st, err := loops.ScheduleLoopOpts(f.G, m, loops.Opts{Tracer: rec})
 	if err != nil {
 		t.Fatal(err)
 	}

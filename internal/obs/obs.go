@@ -47,7 +47,9 @@ const (
 	KindMerge
 	// KindChop reports one chop (paper Figure 6): Block the current block,
 	// From the committed-prefix size, To the carried-suffix size, N the time
-	// base (chop position t_j + 1; 0 = nothing committed).
+	// base (chop position t_j + 1; 0 = nothing committed). Label "replay"
+	// marks a chop replayed from the step cache, whose step emits no other
+	// event.
 	KindChop
 	// KindIICandidate is one §5 loop-schedule candidate evaluation: Pass the
 	// candidate kind ("base", "source", "sink", "trace"), Node/Label the
@@ -106,7 +108,8 @@ const (
 	KindMergePin
 	// KindStreamPush is one block accepted by the streaming scheduler:
 	// Block the block index, From the carried-suffix size before the merge,
-	// To the block's node count, N the suffix makespan after the chop.
+	// To the block's node count, N the suffix makespan after the chop (0
+	// after a budget-degraded push, which finalizes the whole window).
 	KindStreamPush
 	// KindStreamEmit is one block finalized and emitted by the streaming
 	// scheduler: Block the block index, N the emit lag in blocks (pushes

@@ -10,9 +10,11 @@ package aisched
 // sequential walk.
 
 import (
+	"slices"
 	"testing"
 
 	"aisched/internal/core"
+	"aisched/internal/obs"
 	"aisched/internal/workload"
 
 	"math/rand"
@@ -73,7 +75,9 @@ func requireSpecIdentical(t *testing.T, tag string, want, got *TraceResult) {
 
 // FuzzSpeculativeTrace: replicated restricted-model traces through the
 // speculative parallel path at several forced widths, with and without a
-// step cache, asserting bit-identity with the sequential walk.
+// step cache, asserting bit-identity with the sequential walk. The traced
+// arm runs with the step cache off: the forced-parallel result and event
+// list must equal the traced sequential walk's.
 func FuzzSpeculativeTrace(f *testing.F) {
 	f.Add([]byte{1, 9, 0, 1, 0, 1, 0, 1, 0, 0, 0, 0x80, 4, 2, 7, 0x85, 10})
 	f.Add([]byte{3, 13, 0, 1, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0x80, 5, 1, 9, 0x83, 14})
@@ -90,6 +94,10 @@ func FuzzSpeculativeTrace(f *testing.F) {
 		if err != nil {
 			t.Fatalf("sequential: %v", err)
 		}
+		seqRec := obs.NewRecorder()
+		if _, err := core.LookaheadOpts(g, m, core.Options{Parallel: -1, Tracer: seqRec}); err != nil {
+			t.Fatalf("sequential traced: %v", err)
+		}
 		sc := core.NewStepCache(core.StepCacheConfig{})
 		defer sc.Release()
 		for _, p := range []int{2, 4} {
@@ -98,6 +106,15 @@ func FuzzSpeculativeTrace(f *testing.F) {
 				t.Fatalf("parallel p=%d: %v", p, err)
 			}
 			requireSpecIdentical(t, "bare", seq, par)
+			rec := obs.NewRecorder()
+			par, err = core.LookaheadOpts(g, m, core.Options{Parallel: p, Tracer: rec})
+			if err != nil {
+				t.Fatalf("parallel p=%d traced: %v", p, err)
+			}
+			requireSpecIdentical(t, "traced", seq, par)
+			if !slices.Equal(rec.Events(), seqRec.Events()) {
+				t.Fatalf("parallel p=%d: traced event list differs from the sequential walk's", p)
+			}
 			// Twice through one step cache: the second pass's driver and
 			// workers replay the fragments the first stored.
 			for pass := 0; pass < 2; pass++ {

@@ -165,6 +165,34 @@ func TestStepCacheStreamDifferential(t *testing.T) {
 	}
 }
 
+// TestStepCacheStreamTracerTransparent: a Tracer leaves a stream's step
+// cache on. Traced and untraced streams over the same duplicate-heavy trace
+// return the same blocks and move their caches' counters identically, at
+// k = 1 and at unbounded lookahead.
+func TestStepCacheStreamTracerTransparent(t *testing.T) {
+	g, err := workload.Trace(rand.New(rand.NewSource(2)), restrictedTrace())
+	if err != nil {
+		t.Fatal(err)
+	}
+	g = repeatTrace(g, 4)
+	m := SingleUnit(4)
+	for _, k := range []int{1, LookaheadUnbounded} {
+		tag := fmt.Sprintf("k=%d", k)
+		plain := NewStreamScheduler(m, StreamOptions{Lookahead: k})
+		traced := NewStreamScheduler(m, StreamOptions{Lookahead: k, Tracer: NewRecorder()})
+		want := streamWith(t, plain, g)
+		got := streamWith(t, traced, g)
+		sameBlockResults(t, tag, got, want)
+		a, b := traced.StepCacheCounters(), plain.StepCacheCounters()
+		if a != b {
+			t.Fatalf("%s: traced counters %+v, untraced %+v", tag, a, b)
+		}
+		if a.Hits == 0 {
+			t.Fatalf("%s: no step-cache hits", tag)
+		}
+	}
+}
+
 // TestStepCacheHitAllocBudget pins the hit path's allocation cost: in steady
 // state on a repetitive stream, a push that replays a cached fragment stays
 // within a small constant allocation budget — far below the uncached merge

@@ -21,6 +21,7 @@ import (
 
 	"aisched/internal/faultinject"
 	"aisched/internal/machine"
+	"aisched/internal/obs"
 	"aisched/internal/sched"
 	"aisched/internal/workload"
 
@@ -31,11 +32,17 @@ import (
 // flushes, returning the results in emission order.
 func streamAll(t *testing.T, g *Graph, m *Machine, opt StreamOptions) []*BlockResult {
 	t.Helper()
+	return streamWith(t, NewStreamScheduler(m, opt), g)
+}
+
+// streamWith pushes every block of g through ss and flushes, returning the
+// results in emission order.
+func streamWith(t *testing.T, ss *StreamScheduler, g *Graph) []*BlockResult {
+	t.Helper()
 	blocks, _, err := TraceStreamBlocks(g)
 	if err != nil {
 		t.Fatalf("TraceStreamBlocks: %v", err)
 	}
-	ss := NewStreamScheduler(m, opt)
 	var all []*BlockResult
 	for i, b := range blocks {
 		res, err := ss.Push(b)
@@ -361,6 +368,39 @@ func TestStreamBudgetDegradeMidStream(t *testing.T) {
 		}
 		if i > degradeAt && r.Degraded != "" {
 			t.Fatalf("post-degrade block %d still tagged %q", i, r.Degraded)
+		}
+	}
+}
+
+// TestStreamBudgetPushEvents: a push that exhausts its budget degrades
+// and is still accepted, so it emits its KindStreamPush event (N 0: the
+// degraded push carries no suffix). With one rank pass per push every push
+// degrades; the tracer must see one push event per block.
+func TestStreamBudgetPushEvents(t *testing.T) {
+	g, err := workload.Trace(rand.New(rand.NewSource(9)), workload.DefaultTrace())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := NewRecorder()
+	ss := NewStreamScheduler(SingleUnit(4), StreamOptions{
+		Lookahead: LookaheadUnbounded, Budget: Budget{MaxRankPasses: 1}, Tracer: rec,
+	})
+	all := streamWith(t, ss, g)
+	pushes := 0
+	for _, e := range rec.Events() {
+		if e.Kind == obs.KindStreamPush {
+			if e.Block != pushes || e.N != 0 {
+				t.Fatalf("push event %d: block %d, N %d; want block %d, N 0", pushes, e.Block, e.N, pushes)
+			}
+			pushes++
+		}
+	}
+	if pushes != len(all) {
+		t.Fatalf("%d push events for %d pushed blocks", pushes, len(all))
+	}
+	for _, r := range all {
+		if r.Degraded == "" {
+			t.Fatalf("block %d not degraded under a one-pass budget", r.Block)
 		}
 	}
 }
