@@ -99,6 +99,36 @@ func (g *Graph) AddEdge(src, dst NodeID, latency, distance int) error {
 	return nil
 }
 
+// ReserveEdges gives node v's outgoing list room for outCap[v] more edges
+// and its incoming list room for inCap[v], carved from one backing array
+// per direction, so a builder that knows its degrees adds every edge
+// without growing a list. Each list's capacity ends where the next node's
+// room begins, so an append past a reservation reallocates that list
+// instead of writing into its neighbour's. Both slices have length Len();
+// a node with nothing to reserve keeps its list as it is.
+func (g *Graph) ReserveEdges(outCap, inCap []int) {
+	reserveLists(g.out, outCap)
+	reserveLists(g.in, inCap)
+}
+
+func reserveLists(lists [][]Edge, extra []int) {
+	total := 0
+	for v, k := range extra {
+		if k > 0 {
+			total += len(lists[v]) + k
+		}
+	}
+	backing := make([]Edge, total)
+	off := 0
+	for v, k := range extra {
+		if k > 0 {
+			end := off + len(lists[v]) + k
+			lists[v] = append(backing[off:off:end], lists[v]...)
+			off = end
+		}
+	}
+}
+
 // MustEdge is AddEdge that panics on error; for statically-known-good graphs
 // in tests and figure constructions.
 func (g *Graph) MustEdge(src, dst NodeID, latency, distance int) {

@@ -161,44 +161,54 @@ type Instr struct {
 	Comment string
 }
 
-// Defs returns the registers written by the instruction.
-func (in Instr) Defs() []Reg {
-	var out []Reg
+// Operands returns the registers the instruction writes, defs[:nd], and
+// reads, uses[:nu], in the order Defs and Uses list them, without
+// allocating. This is the one opcode → operand table. A def is reported as
+// encoded, so an unvalidated Dst may be NoReg; a use is always a real
+// register.
+func (in Instr) Operands() (defs [2]Reg, nd int, uses [2]Reg, nu int) {
 	switch in.Op {
-	case LI, MOV, ADD, SUB, AND, OR, XOR, SHL, SHR, ADDI, SUBI, MUL, DIV, LOAD, LOADU:
-		out = append(out, in.Dst)
-	case CMP, CMPI:
-		out = append(out, in.Dst)
+	case LI, MOV, ADD, SUB, AND, OR, XOR, SHL, SHR, ADDI, SUBI, MUL, DIV, LOAD, LOADU, CMP, CMPI:
+		defs[nd] = in.Dst
+		nd++
 	}
 	if in.Op == LOADU || in.Op == STOREU {
-		out = append(out, in.Base)
+		defs[nd] = in.Base
+		nd++
 	}
-	return out
-}
-
-// Uses returns the registers read by the instruction.
-func (in Instr) Uses() []Reg {
-	var out []Reg
-	add := func(r Reg) {
+	use := func(r Reg) {
 		if r.Valid() {
-			out = append(out, r)
+			uses[nu] = r
+			nu++
 		}
 	}
 	switch in.Op {
 	case MOV, ADDI, SUBI, CMPI:
-		add(in.SrcA)
+		use(in.SrcA)
 	case ADD, SUB, AND, OR, XOR, SHL, SHR, MUL, DIV, CMP:
-		add(in.SrcA)
-		add(in.SrcB)
+		use(in.SrcA)
+		use(in.SrcB)
 	case LOAD, LOADU:
-		add(in.Base)
+		use(in.Base)
 	case STORE, STOREU:
-		add(in.SrcA)
-		add(in.Base)
+		use(in.SrcA)
+		use(in.Base)
 	case BT, BF:
-		add(in.SrcA) // condition register
+		use(in.SrcA) // condition register
 	}
-	return out
+	return defs, nd, uses, nu
+}
+
+// Defs returns the registers written by the instruction (nil when none).
+func (in Instr) Defs() []Reg {
+	defs, nd, _, _ := in.Operands()
+	return append([]Reg(nil), defs[:nd]...)
+}
+
+// Uses returns the registers read by the instruction (nil when none).
+func (in Instr) Uses() []Reg {
+	_, _, uses, nu := in.Operands()
+	return append([]Reg(nil), uses[:nu]...)
 }
 
 // ReadsMem reports whether the instruction loads from memory.

@@ -48,6 +48,24 @@ func TestDefsUses(t *testing.T) {
 	}
 }
 
+func TestOperandsMatchDefsUsesWithoutAllocating(t *testing.T) {
+	// An unvalidated NoReg Dst is still a def; a NoReg source is no use.
+	in := Instr{Op: LOADU, Dst: NoReg, SrcA: NoReg, Base: GPR(7)}
+	defs, nd, uses, nu := in.Operands()
+	if !sameRegs(defs[:nd], []Reg{NoReg, GPR(7)}) || !sameRegs(uses[:nu], []Reg{GPR(7)}) {
+		t.Fatalf("Operands = %v, %v; want [r? r7], [r7]", defs[:nd], uses[:nu])
+	}
+	if !sameRegs(in.Defs(), defs[:nd]) || !sameRegs(in.Uses(), uses[:nu]) {
+		t.Fatalf("Defs/Uses = %v/%v, Operands %v/%v", in.Defs(), in.Uses(), defs[:nd], uses[:nu])
+	}
+	if (Instr{Op: NOP}).Defs() != nil || (Instr{Op: NOP}).Uses() != nil {
+		t.Fatal("Defs/Uses of a NOP are not nil")
+	}
+	if a := testing.AllocsPerRun(100, func() { in.Operands() }); a != 0 {
+		t.Fatalf("Operands allocates %v times", a)
+	}
+}
+
 func sameRegs(a, b []Reg) bool {
 	if len(a) != len(b) {
 		return false

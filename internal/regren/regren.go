@@ -56,10 +56,11 @@ func RenameBlocks(blocks []isa.Block) []isa.Block {
 func referenced(instrs []isa.Instr) map[isa.Reg]bool {
 	used := map[isa.Reg]bool{}
 	for _, in := range instrs {
-		for _, r := range in.Defs() {
+		defs, nd, uses, nu := in.Operands()
+		for _, r := range defs[:nd] {
 			used[r] = true
 		}
-		for _, r := range in.Uses() {
+		for _, r := range uses[:nu] {
 			used[r] = true
 		}
 		if in.Base.Valid() {
@@ -83,7 +84,8 @@ func renameWith(instrs []isa.Instr, reserved map[isa.Reg]bool) []isa.Instr {
 	// lastDef[r] = index of the final definition of r in the block.
 	lastDef := map[isa.Reg]int{}
 	for i, in := range instrs {
-		for _, d := range in.Defs() {
+		defs, nd, _, _ := in.Operands()
+		for _, d := range defs[:nd] {
 			lastDef[d] = i
 		}
 	}
@@ -159,27 +161,28 @@ func FalseDeps(instrs []isa.Instr) int {
 	return count
 }
 
+// isFalseDep reports whether b has a WAW or WAR dependence on a and no RAW
+// one: unlike the dependence builder's first-match rule, any RAW dominates.
 func isFalseDep(a, b isa.Instr) bool {
-	raw := false
-	for _, d := range a.Defs() {
-		for _, u := range b.Uses() {
+	ad, nad, au, nau := a.Operands()
+	bd, nbd, bu, nbu := b.Operands()
+	aDefs, aUses, bDefs, bUses := ad[:nad], au[:nau], bd[:nbd], bu[:nbu]
+	for _, d := range aDefs {
+		for _, u := range bUses {
 			if d == u {
-				raw = true
+				return false // true dependence dominates
 			}
 		}
 	}
-	if raw {
-		return false // true dependence dominates
-	}
-	for _, d := range a.Defs() {
-		for _, d2 := range b.Defs() {
+	for _, d := range aDefs {
+		for _, d2 := range bDefs {
 			if d == d2 {
 				return true // WAW
 			}
 		}
 	}
-	for _, u := range a.Uses() {
-		for _, d := range b.Defs() {
+	for _, u := range aUses {
+		for _, d := range bDefs {
 			if u == d {
 				return true // WAR
 			}

@@ -35,6 +35,7 @@ go test -run '^$' -fuzz '^FuzzStepCache$' -fuzztime 10s .
 go test -run '^$' -fuzz '^FuzzExactOracle$' -fuzztime 10s .
 go test -run '^$' -fuzz '^FuzzSpeculativeTrace$' -fuzztime 10s .
 go test -run '^$' -fuzz '^FuzzRankRefresh$' -fuzztime 10s ./internal/rank
+go test -run '^$' -fuzz '^FuzzBuildGraphs$' -fuzztime 10s ./internal/deps
 echo "== optimality-gap quick sweep (E1GAP, reduced instance count)"
 # The full 60-instance sweep lives in EXPERIMENTS.md; a 15-instance pass
 # keeps the heuristic-vs-exact differential honest on every check without
