@@ -4,7 +4,7 @@ package aisched
 //
 // Scheduler wraps the package-level entry points (ScheduleBlock,
 // ScheduleTrace, ScheduleLoop) with a content-addressed result cache
-// (internal/memo keyed by graph.Fingerprint): re-submitting the same block —
+// (internal/memo keyed by graph.ContentHash): re-submitting the same block —
 // even rebuilt with different labels, edge insertion order, or machine name —
 // returns the memoized schedule without recomputation, and concurrent
 // requests for the same block compute it once. ScheduleBatch fans a slice of
@@ -54,7 +54,7 @@ type SchedulerOptions struct {
 	// StepCacheCapacity is the structural step cache's fragment budget
 	// (0 = default 4096; negative disables it). The step cache memoizes
 	// individual merge/chop iterations inside ScheduleTrace keyed by
-	// structural fingerprints, so repeated block shapes replay in O(block)
+	// structural hashes, so repeated block shapes replay in O(block)
 	// even across traces the whole-trace cache has never seen. Results are
 	// bit-identical either way.
 	StepCacheCapacity int
@@ -346,7 +346,7 @@ func (sc *Scheduler) batchOne(ctx context.Context, it BatchItem, submitted time.
 }
 
 // ScheduleBatch schedules every item on a bounded worker pool and returns
-// the results in input order. Duplicate items (same fingerprint) are
+// the results in input order. Duplicate items (same content hash) are
 // computed once: concurrent duplicates coalesce on the cache's in-flight
 // table, later ones hit the memo. One item's failure never affects the
 // others; check each BatchResult.Err.

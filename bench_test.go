@@ -525,7 +525,7 @@ func BenchmarkScheduleLoop(b *testing.B) {
 // batchBenchItems builds n trace-scheduling requests drawn from distinct base
 // graphs; duplicates are independently rebuilt (fresh labels, shuffled edge
 // insertion order), so the schedule cache must match them by content
-// fingerprint, never pointer identity.
+// hash, never pointer identity.
 func batchBenchItems(tb testing.TB, n, distinct int) []BatchItem {
 	tb.Helper()
 	r := rand.New(rand.NewSource(77))

@@ -179,7 +179,7 @@ func main() {
 
 	// Batch throughput workloads: batchN trace requests where every duplicate
 	// is an independently rebuilt copy (fresh labels, shuffled edge insertion
-	// order), so the schedule cache must match by content fingerprint.
+	// order), so the schedule cache must match by content hash.
 	// BatchDup0 is all-distinct (worst case for the cache); BatchDup90 keeps
 	// ~10% distinct graphs; SerialDup90 pushes the same ~90%-duplicate items
 	// through the uncached package-level path, so SerialDup90/BatchDup90 is
@@ -587,7 +587,7 @@ func compareSnapshots(path string, old, cur snapshot, noise map[string]float64, 
 // batchItems builds n trace-scheduling requests drawn from distinct base
 // graphs; every duplicate is rebuilt node-for-node with fresh labels and a
 // shuffled edge insertion order, so duplicate detection must come from the
-// content fingerprint, never pointer identity.
+// content hash, never pointer identity.
 func batchItems(n, distinct int) []aisched.BatchItem {
 	r := rand.New(rand.NewSource(77))
 	m := machine.SingleUnit(4)

@@ -14,15 +14,25 @@ package aisched
 //     dependence-valid result whose simulated completion never loses more
 //     than one cycle to per-block baseline scheduling (the repo-wide
 //     invariant; see internal/core's property tests and EXPERIMENTS.md).
+//   - FuzzScheduleLoop: a caching Scheduler's loop schedules equal the
+//     uncached loops.ScheduleLoop ones, and the memo hits a relabelled
+//     rebuild but misses an ID-permuted body unless it is the same
+//     instance. Loop keys are the only memo keys whose carried edges'
+//     distances must enter the key.
 //
 // Run as ordinary tests they exercise the seed corpus; `go test -fuzz` (see
 // scripts/check.sh) explores the byte space.
 
 import (
+	"fmt"
+	"math/rand"
+	"sort"
+	"strings"
 	"testing"
 
 	"aisched/internal/baseline"
 	"aisched/internal/hw"
+	"aisched/internal/loops"
 	"aisched/internal/paperex"
 	"aisched/internal/sched"
 )
@@ -250,6 +260,182 @@ func FuzzScheduleTrace(f *testing.F) {
 		if la.Completion > lb.Completion+1 {
 			t.Fatalf("anticipatory completion %d loses more than one cycle to baseline %d",
 				la.Completion, lb.Completion)
+		}
+	})
+}
+
+// decodeLoopInstance decodes fuzz bytes into a loop body:
+//
+//	data[0]        → window W ∈ [2,5] (bits 0–1), RS6000 instead of the
+//	                 single unit (bit 2), several blocks (bit 3), and the
+//	                 rotation that permutes IDs within each block (bits 4–7)
+//	data[1]        → node count n ∈ [2,12]
+//	data[2:2+n]    → per node: block delta (bit 0, ignored for one block),
+//	                 class (bits 1–2, modulo the machine's classes), exec
+//	                 time 1 or 2 (bit 3)
+//	rest, in pairs → edges: a = latency<<6 | src, b = distance-1<<6 |
+//	                 carried<<5 | dst. A carried edge src%n → dst%n has
+//	                 distance 1 or 2 and may run anywhere; a loop-independent
+//	                 one is added iff src < dst.
+//
+// Returns nil when data is too short to describe a body.
+func decodeLoopInstance(data []byte) (*Graph, *Machine) {
+	if len(data) < 2 {
+		return nil, nil
+	}
+	w := 2 + int(data[0]&3)
+	m := SingleUnit(w)
+	if data[0]&4 != 0 {
+		m = RS6000(w)
+	}
+	n := 2 + int(data[1])%11
+	if len(data) < 2+n {
+		return nil, nil
+	}
+	g := NewGraph(n)
+	blk := 0
+	for i := 0; i < n; i++ {
+		b := data[2+i]
+		if data[0]&8 != 0 {
+			blk += int(b & 1)
+		}
+		g.AddNode("l", 1+int(b>>3&1), int(b>>1&3)%len(m.Units), blk)
+	}
+	for p := 2 + n; p+1 < len(data); p += 2 {
+		a, b := data[p], data[p+1]
+		src, dst := int(a&0x3F)%n, int(b&0x1F)%n
+		lat := int(a >> 6)
+		switch {
+		case b&0x20 != 0:
+			g.MustEdge(NodeID(src), NodeID(dst), lat, 1+int(b>>6&1))
+		case src < dst:
+			g.MustEdge(NodeID(src), NodeID(dst), lat, 0)
+		}
+	}
+	return g, m
+}
+
+// permuteWithinBlocks rebuilds g with each block's node IDs rotated by k,
+// so blocks stay contiguous and no edge changes blocks.
+func permuteWithinBlocks(g *Graph, k int) *Graph {
+	n := g.Len()
+	perm := make([]NodeID, n) // old ID → new ID
+	for lo := 0; lo < n; {
+		hi := lo
+		for hi < n && g.Node(NodeID(hi)).Block == g.Node(NodeID(lo)).Block {
+			hi++
+		}
+		for i := lo; i < hi; i++ {
+			perm[i] = NodeID(lo + (i-lo+k)%(hi-lo))
+		}
+		lo = hi
+	}
+	inv := make([]NodeID, n)
+	for old, nw := range perm {
+		inv[nw] = NodeID(old)
+	}
+	h := NewGraph(n)
+	for _, old := range inv {
+		nd := g.Node(old)
+		h.AddNode(nd.Label, nd.Exec, nd.Class, nd.Block)
+	}
+	for v := 0; v < n; v++ {
+		for _, e := range g.Out(NodeID(v)) {
+			h.MustEdge(perm[e.Src], perm[e.Dst], e.Latency, e.Distance)
+		}
+	}
+	return h
+}
+
+// stretchCarried copies g with every loop-carried edge's distance raised
+// by one, or returns nil when g has no carried edge: the same body with
+// longer recurrences, a different loop instance.
+func stretchCarried(g *Graph) *Graph {
+	h := NewGraph(g.Len())
+	for v := 0; v < g.Len(); v++ {
+		nd := g.Node(NodeID(v))
+		h.AddNode(nd.Label, nd.Exec, nd.Class, nd.Block)
+	}
+	carried := false
+	for v := 0; v < g.Len(); v++ {
+		for _, e := range g.Out(NodeID(v)) {
+			d := e.Distance
+			if d > 0 {
+				d++
+				carried = true
+			}
+			h.MustEdge(e.Src, e.Dst, e.Latency, d)
+		}
+	}
+	if !carried {
+		return nil
+	}
+	return h
+}
+
+// instanceEncoding is the exact, unhashed identity of a graph as a
+// scheduling instance: node attributes in ID order and each node's
+// out-edges sorted by (destination, distance). Labels and insertion order
+// are left out.
+func instanceEncoding(g *Graph) string {
+	var b strings.Builder
+	for v := 0; v < g.Len(); v++ {
+		nd := g.Node(NodeID(v))
+		es := append([]Edge(nil), g.Out(NodeID(v))...)
+		sort.Slice(es, func(i, j int) bool {
+			if es[i].Dst != es[j].Dst {
+				return es[i].Dst < es[j].Dst
+			}
+			return es[i].Distance < es[j].Distance
+		})
+		fmt.Fprintf(&b, "[%d %d %d %v]", nd.Exec, nd.Class, nd.Block, es)
+	}
+	return b.String()
+}
+
+// FuzzScheduleLoop: a caching Scheduler against the uncached loop
+// scheduler, on the first call, on a relabelled and edge-shuffled
+// resubmission (a memo hit), on an ID-permuted resubmission (a miss unless
+// the permutation left the instance unchanged), and on the body with its
+// carried distances raised (always a miss: distance is part of the key).
+func FuzzScheduleLoop(f *testing.F) {
+	f.Add([]byte{0x02, 3, 0, 0, 0, 0x41, 1, 0x02, 0x20})
+	f.Add([]byte{0x1a, 6, 0, 1, 0, 1, 0, 1, 0x01, 0x02, 0x43, 0x04, 0x05, 0x20, 0x84, 0x60})
+	f.Add([]byte{0x25, 5, 2, 4, 8, 0, 10, 0x00, 0x03, 0x41, 0x22, 0x82, 0x61})
+	f.Add([]byte{0x3e, 8, 1, 0, 9, 1, 0, 3, 1, 0, 0x00, 0x05, 0x42, 0x07, 0x03, 0x26, 0xc6, 0x40})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		g, m := decodeLoopInstance(data)
+		if g == nil {
+			return
+		}
+		want, wantErr := loops.ScheduleLoop(g, m)
+		sc := NewScheduler(SchedulerOptions{})
+		check := func(what string, g *Graph, want *LoopSteady, wantErr error, wantHit bool) {
+			t.Helper()
+			before := sc.CacheCounters()
+			got, err := sc.ScheduleLoop(g, m)
+			if (err != nil) != (wantErr != nil) {
+				t.Fatalf("%s: cached error %v, uncached %v", what, err, wantErr)
+			}
+			if err != nil {
+				return
+			}
+			sameSteady(t, what, got, want)
+			after := sc.CacheCounters()
+			if hit := after.Hits > before.Hits; hit != wantHit {
+				t.Fatalf("%s: memo hit %v, want %v (%+v after %+v)", what, hit, wantHit, after, before)
+			}
+		}
+		check("first call", g, want, wantErr, false)
+		check("relabelled", relabel(g, rand.New(rand.NewSource(int64(len(data))))), want, wantErr, wantErr == nil)
+
+		p := permuteWithinBlocks(g, int(data[0]>>4))
+		wantP, errP := loops.ScheduleLoop(p, m)
+		check("permuted", p, wantP, errP, wantErr == nil && instanceEncoding(p) == instanceEncoding(g))
+
+		if st := stretchCarried(g); st != nil {
+			wantS, errS := loops.ScheduleLoop(st, m)
+			check("stretched", st, wantS, errS, false)
 		}
 	})
 }

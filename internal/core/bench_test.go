@@ -109,3 +109,32 @@ func BenchmarkStepRun(b *testing.B) {
 	}
 	b.ReportMetric(float64(len(ins)), "steps/op")
 }
+
+// BenchmarkStepRunMemoHit measures the step cache's hit path, key plus
+// replay, over the same step sequence: a warm-up pass stores every step's
+// fragment, so every timed RunMemo is a hit.
+func BenchmarkStepRunMemoHit(b *testing.B) {
+	ins, _ := traceColdSteps(b)
+	var st Step
+	sc := NewStepCache(StepCacheConfig{Capacity: 2 * len(ins)})
+	for k := range ins {
+		if _, err := st.RunMemo(&ins[k], sc); err != nil {
+			b.Fatal(err)
+		}
+	}
+	warm := sc.Counters()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for k := range ins {
+			if _, err := st.RunMemo(&ins[k], sc); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.StopTimer()
+	if c := sc.Counters(); c.Misses != warm.Misses {
+		b.Fatalf("%d timed lookups missed", c.Misses-warm.Misses)
+	}
+	b.ReportMetric(float64(len(ins)), "steps/op")
+}

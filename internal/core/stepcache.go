@@ -58,17 +58,15 @@ package core
 //
 // # Why a non-cryptographic 128-bit key is sound here
 //
-// The memo layer's Fingerprint uses SHA-256 because cache keys cross trust
-// boundaries (any caller-built graph). Step keys never do: they are built
-// from the scheduler's own iteration state, so only accidental collisions
-// matter, and at 128 well-mixed bits those are birthday-bounded below any
-// practical workload (see graph.Hash128). The differential tests and
+// Step keys are built from the scheduler's own iteration state and live in
+// a process-private cache, so only accidental collisions matter, and at 128
+// well-mixed bits those are birthday-bounded below any practical workload.
+// graph.Hash128's soundness note states the trade-off for both caches (the
+// result memo keys on graph.ContentHash). The differential tests and
 // FuzzStepCache pin the end-to-end guarantee: cache-on and cache-off
 // schedules are bit-identical.
 
 import (
-	"encoding/binary"
-
 	"aisched/internal/graph"
 	"aisched/internal/memo"
 	"aisched/internal/obs"
@@ -156,7 +154,7 @@ func (st *Step) RunMemo(in *StepIn, sc *StepCache) (StepOut, error) {
 }
 
 // stepKey hashes the step's full input (see the package comment) into a
-// memo key: the 128-bit sum fills the fingerprint's first 16 bytes.
+// memo key.
 func (st *Step) stepKey(in *StepIn) memo.Key {
 	h := &st.keyH
 	h.Reset(stepKeySeed)
@@ -205,11 +203,7 @@ func (st *Step) stepKey(in *StepIn) memo.Key {
 			}
 		}
 	}
-	sum := h.Sum()
-	k := memo.Key{Kind: memo.KindStep}
-	binary.LittleEndian.PutUint64(k.FP[0:8], sum.Lo)
-	binary.LittleEndian.PutUint64(k.FP[8:16], sum.Hi)
-	return k
+	return memo.Key{H: h.Sum(), Kind: memo.KindStep}
 }
 
 // fragOf freezes a completed step into an immutable fragment.

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -105,48 +106,21 @@ func TestHasherDistribution(t *testing.T) {
 	}
 }
 
-// BenchmarkStepHashVsFingerprint quantifies why the step-key path gets its
-// own hash: the same content through the streaming word hasher vs the
-// canonicalizing SHA-256 Fingerprint. The step cache rebuilds its key every
-// merge iteration, so this gap is paid per block.
-func BenchmarkStepHashVsFingerprint(b *testing.B) {
-	// A representative merge view: ~24 nodes, ~40 edges.
-	g := New(24)
-	r := rand.New(rand.NewSource(5))
-	for i := 0; i < 24; i++ {
-		g.AddNode("n", 1, 0, i/6)
-	}
-	edges := 0
-	for edges < 40 {
-		s, d := r.Intn(24), r.Intn(24)
-		if s < d && g.AddEdge(NodeID(s), NodeID(d), r.Intn(2), 0) == nil {
-			edges++
-		}
-	}
-	units := []int{1}
+// hashSink keeps BenchmarkContentHash's calls from being optimized away.
+var hashSink Hash128
 
-	b.Run("Fingerprint", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			_ = g.Fingerprint(units, 4)
-		}
-	})
-	b.Run("Hasher", func(b *testing.B) {
-		b.ReportAllocs()
-		var h Hasher
-		for i := 0; i < b.N; i++ {
-			h.Reset(4)
-			for v := 0; v < g.Len(); v++ {
-				nd := g.Node(NodeID(v))
-				h.Int(nd.Exec)
-				h.Int(nd.Class)
-				h.Int(nd.Block)
-				for _, e := range g.Out(NodeID(v)) {
-					h.Int(int(e.Dst))
-					h.Int(e.Latency)
-				}
+// BenchmarkContentHash times the result memo's key, computed on every
+// Scheduler request, hit or miss, on 48- and 192-node random graphs (each
+// forward pair joined with probability 1/4). It must report 0 allocs/op.
+func BenchmarkContentHash(b *testing.B) {
+	for _, n := range []int{48, 192} {
+		g := randomGraph(rand.New(rand.NewSource(int64(n))), n)
+		units := []int{1, 1}
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				hashSink = g.ContentHash(units, 4)
 			}
-			_ = h.Sum()
-		}
-	})
+		})
+	}
 }

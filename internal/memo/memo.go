@@ -1,5 +1,5 @@
 // Package memo is the content-addressed schedule cache: a sharded, bounded
-// LRU keyed by graph.Fingerprint that memoizes scheduling results across
+// LRU keyed by graph.ContentHash that memoizes scheduling results across
 // calls. It is the amortization layer of the throughput pipeline — identical
 // basic blocks dominate real workloads, so a compiler front-end that keeps
 // re-submitting the same block should pay for scheduling once.
@@ -8,8 +8,8 @@
 //
 //   - The key space is partitioned into 16 shards, each with its own mutex,
 //     LRU list, and counters, so concurrent lookups of different blocks
-//     never contend on one lock. SHA-256 fingerprints are uniform, so the
-//     shard index is just the key's low 64 bits modulo 16.
+//     never contend on one lock. Keys are well-mixed 128-bit hashes
+//     (graph.Hash128), so the shard index is just their low word modulo 16.
 //   - Each shard carries a singleflight table: when a lookup misses while
 //     another goroutine is already computing the same key, the latecomer
 //     waits for that in-flight computation instead of duplicating it
@@ -18,7 +18,7 @@
 //
 // The cache stores opaque values; the facade layer is responsible for
 // storing clones that do not retain caller-owned graphs and for rebinding
-// clones on the way out. Soundness rests on the Fingerprint contract
+// clones on the way out. Soundness rests on the ContentHash contract
 // (internal/graph): equal keys describe the same scheduling instance, and
 // every scheduler in this repository is deterministic, so a cached value is
 // bit-identical to what recomputation would produce.
@@ -26,7 +26,6 @@ package memo
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -75,7 +74,7 @@ var StepMetrics = &MetricSet{
 	bytes:      metrics.Default.NewGauge("aisched_stepcache_resident_bytes", "approximate resident bytes of cached step fragments"),
 }
 
-// Kind discriminates the result type cached under a fingerprint, so a block
+// Kind discriminates the result type cached under a content hash, so a block
 // schedule and a trace result for the same graph never alias.
 type Kind uint8
 
@@ -87,15 +86,15 @@ const (
 	// KindLoop caches §5 steady-state loop schedules.
 	KindLoop
 	// KindStep caches one core.Step merge/delay/chop iteration as a
-	// relocatable fragment. Step keys are built with graph.Hasher (128-bit
-	// non-cryptographic) rather than Fingerprint; the key's hash fills the
-	// fingerprint's first 16 bytes and the rest stay zero.
+	// relocatable fragment. Its key hashes the step's whole input (view,
+	// carried state, release floors) with graph.Hasher, not ContentHash.
 	KindStep
 )
 
-// Key is the cache key: the instance fingerprint plus the result kind.
+// Key is the cache key: the instance's 128-bit content hash plus the
+// result kind.
 type Key struct {
-	FP   graph.Fingerprint
+	H    graph.Hash128
 	Kind Kind
 }
 
@@ -103,7 +102,7 @@ type Key struct {
 // exactly the machine parameters that affect scheduling (unit counts and
 // window); machine names do not fragment the cache.
 func KeyFor(g *graph.Graph, m *machine.Machine, kind Kind) Key {
-	return Key{FP: g.Fingerprint(m.Units, m.Window), Kind: kind}
+	return Key{H: g.ContentHash(m.Units, m.Window), Kind: kind}
 }
 
 // Config configures a Cache. The zero value picks the defaults.
@@ -231,7 +230,7 @@ func New(cfg Config) *Cache {
 }
 
 func (c *Cache) shardFor(k Key) *shard {
-	return &c.shards[binary.LittleEndian.Uint64(k.FP[:8])%numShards]
+	return &c.shards[k.H.Lo%numShards]
 }
 
 func (c *Cache) emit(kind obs.Kind) {

@@ -14,14 +14,10 @@ import (
 	"aisched/internal/obs"
 )
 
-// key builds a Key pinned to shard `shard` (the shard index is the low 64
-// bits of the fingerprint modulo numShards), distinguished by serial.
+// key builds a Key pinned to shard `shard` (the shard index is the hash's
+// low word modulo numShards), distinguished by serial.
 func key(shard byte, serial int) Key {
-	var k Key
-	k.FP[0] = shard
-	k.FP[8] = byte(serial)
-	k.FP[9] = byte(serial >> 8)
-	return k
+	return Key{H: graph.Hash128{Lo: uint64(shard), Hi: uint64(serial)}}
 }
 
 func TestDoHitMiss(t *testing.T) {

@@ -34,8 +34,10 @@ go test -run '^$' -fuzz '^FuzzScheduleTrace$' -fuzztime 10s .
 go test -run '^$' -fuzz '^FuzzStepCache$' -fuzztime 10s .
 go test -run '^$' -fuzz '^FuzzExactOracle$' -fuzztime 10s .
 go test -run '^$' -fuzz '^FuzzSpeculativeTrace$' -fuzztime 10s .
+go test -run '^$' -fuzz '^FuzzScheduleLoop$' -fuzztime 10s .
 go test -run '^$' -fuzz '^FuzzRankRefresh$' -fuzztime 10s ./internal/rank
 go test -run '^$' -fuzz '^FuzzBuildGraphs$' -fuzztime 10s ./internal/deps
+go test -run '^$' -fuzz '^FuzzContentHash$' -fuzztime 10s ./internal/graph
 echo "== optimality-gap quick sweep (E1GAP, reduced instance count)"
 # The full 60-instance sweep lives in EXPERIMENTS.md; a 15-instance pass
 # keeps the heuristic-vs-exact differential honest on every check without
@@ -97,6 +99,6 @@ echo "== speculative, step-cache and stream results must be deterministic across
 # regardless of GOMAXPROCS or repetition. Every driver runs on a pooled or
 # long-lived walk, so state leaking between calls would surface here.
 go test -run 'Speculative|ParallelTrace|StepCache|Stream' -count=2 -cpu=1,4 ./...
-echo "== benchsnap -compare BENCH_PR16.json"
-go run ./cmd/benchsnap -compare BENCH_PR16.json
+echo "== benchsnap -compare BENCH_PR27.json"
+go run ./cmd/benchsnap -compare BENCH_PR27.json
 echo "check: OK"

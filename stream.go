@@ -88,7 +88,7 @@ type StreamOptions struct {
 	OnResult func(*BlockResult)
 	// StepCacheCapacity is the structural step cache's fragment budget
 	// (0 = default 4096; negative disables it). The step cache memoizes
-	// whole push iterations keyed by structural fingerprints, so repeated
+	// whole push iterations keyed by structural hashes, so repeated
 	// block shapes replay in O(block); results are bit-identical either
 	// way. Close releases the cache's resident bytes.
 	StepCacheCapacity int
