@@ -65,14 +65,15 @@ func captureSteps(tb testing.TB, g *graph.Graph, m *machine.Machine) []StepIn {
 	return capt.ins
 }
 
-// traceColdSteps is a fixed trace-cold-shaped step sequence: eight traces
-// in the benchmark workload's four rotating shapes (latency-bound blocks,
-// dense restricted-model blocks, 16-block traces, three-class RS/6000
-// blocks with two-cycle instructions).
-func traceColdSteps(tb testing.TB) ([]StepIn, int) {
+// traceColdShapes names the benchmark workload's four rotating trace
+// shapes: latency-bound blocks, dense restricted-model blocks, 16-block
+// traces, and three-class RS/6000 blocks with two-cycle instructions.
+var traceColdShapes = [4]string{"latency", "dense", "blocks16", "rs6000"}
+
+// traceColdSteps is a fixed trace-cold-shaped step sequence: eight traces,
+// trace i in shape traceColdShapes[i%4]. shape[k] is step k's shape index.
+func traceColdSteps(tb testing.TB) (ins []StepIn, shape []int) {
 	tb.Helper()
-	var ins []StepIn
-	insts := 0
 	for i := 0; i < 8; i++ {
 		cfg, m := workload.DefaultTrace(), machine.SingleUnit(4)
 		switch i % 4 {
@@ -81,33 +82,51 @@ func traceColdSteps(tb testing.TB) ([]StepIn, int) {
 		case 2:
 			cfg.Blocks = 16
 		case 3:
-			cfg.Classes, cfg.MaxExec, m = 3, 2, machine.RS6000(4)
+			cfg, m = rs6000TraceShape()
 		}
 		g, err := workload.Trace(rand.New(rand.NewSource(int64(1<<24+i))), cfg)
 		if err != nil {
 			tb.Fatal(err)
 		}
-		ins = append(ins, captureSteps(tb, g, m)...)
-		insts += g.Len()
+		steps := captureSteps(tb, g, m)
+		ins = append(ins, steps...)
+		for range steps {
+			shape = append(shape, i%4)
+		}
 	}
-	return ins, insts
+	return ins, shape
 }
 
 // BenchmarkStepRun measures Step.Run over the fixed trace-cold-shaped step
-// sequence: every op runs each captured step once on one reused Step.
+// sequence: every op runs each captured step once on one reused Step. The
+// all sub-benchmark runs the whole sequence; the others run one shape's
+// steps, so the RS/6000 shape, where the merge's loosening rounds are
+// spent, has its own number.
 func BenchmarkStepRun(b *testing.B) {
-	ins, _ := traceColdSteps(b)
-	var st Step
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for k := range ins {
-			if _, err := st.Run(&ins[k]); err != nil {
-				b.Fatal(err)
+	ins, shape := traceColdSteps(b)
+	run := func(b *testing.B, ins []StepIn) {
+		var st Step
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for k := range ins {
+				if _, err := st.Run(&ins[k]); err != nil {
+					b.Fatal(err)
+				}
 			}
 		}
+		b.ReportMetric(float64(len(ins)), "steps/op")
 	}
-	b.ReportMetric(float64(len(ins)), "steps/op")
+	b.Run("all", func(b *testing.B) { run(b, ins) })
+	for sh, name := range traceColdShapes {
+		var sub []StepIn
+		for k := range ins {
+			if shape[k] == sh {
+				sub = append(sub, ins[k])
+			}
+		}
+		b.Run(name, func(b *testing.B) { run(b, sub) })
+	}
 }
 
 // BenchmarkStepRunMemoHit measures the step cache's hit path, key plus

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"slices"
 	"sort"
@@ -13,6 +14,7 @@ import (
 	"aisched/internal/obs"
 	"aisched/internal/rank"
 	"aisched/internal/sched"
+	"aisched/internal/workload"
 )
 
 // Differential test: LookaheadOpts on the context-based engine (shared
@@ -24,6 +26,14 @@ import (
 // referenceLookahead mirrors LookaheadOpts using rank.ReferenceCompute /
 // rank.ReferenceRun, idle.ReferenceDelayIdleSlots and a linear-scan chop.
 func referenceLookahead(g *graph.Graph, m *machine.Machine, opt Options) (*Result, error) {
+	return referenceLookaheadRounds(g, m, opt, nil)
+}
+
+// referenceLookaheadRounds is referenceLookahead that also records, when
+// rounds is non-nil, how many loosening rounds each block's merge ran,
+// keyed by block; the repair's re-merge is not counted, as Step.Run emits
+// no loosen events for it.
+func referenceLookaheadRounds(g *graph.Graph, m *machine.Machine, opt Options, rounds map[int]int) (*Result, error) {
 	if g.Len() == 0 {
 		return &Result{Order: nil, BlockOrders: map[int][]graph.NodeID{}, S: sched.New(g, m)}, nil
 	}
@@ -89,15 +99,17 @@ func referenceLookahead(g *graph.Graph, m *machine.Machine, opt Options) (*Resul
 				d[si] = t
 			}
 		}
-		// mergeRounds mirrors Step.mergeRounds: re-rank under the assigned
-		// deadlines, loosen the new deadlines until feasible, then the §4.2
-		// heuristic fallback syncing deadlines to achieved finishes.
-		mergeRounds := func(d []int) (*sched.Schedule, error) {
+		// mergeRounds mirrors Step.mergeRounds as the unit-step loop: re-rank
+		// under the assigned deadlines, loosen the new deadlines one cycle
+		// per round until feasible, then the §4.2 heuristic fallback syncing
+		// deadlines to achieved finishes. It returns the rounds it ran.
+		mergeRounds := func(d []int) (*sched.Schedule, int, error) {
 			res, err := rank.ReferenceRunRel(sub, m, d, nil, rel)
 			if err != nil {
-				return nil, err
+				return nil, 0, err
 			}
-			for bump := 0; !res.Feasible && bump <= maxBump(sub); bump++ {
+			bump := 0
+			for ; !res.Feasible && bump <= maxBump(sub); bump++ {
 				for si := 0; si < sub.Len(); si++ {
 					if !isOld[si] {
 						d[si]++
@@ -105,7 +117,7 @@ func referenceLookahead(g *graph.Graph, m *machine.Machine, opt Options) (*Resul
 				}
 				res, err = rank.ReferenceRunRel(sub, m, d, nil, rel)
 				if err != nil {
-					return nil, err
+					return nil, 0, err
 				}
 			}
 			for tries := 0; !res.Feasible && tries < 30; tries++ {
@@ -121,7 +133,7 @@ func referenceLookahead(g *graph.Graph, m *machine.Machine, opt Options) (*Resul
 				}
 				res, err = rank.ReferenceRunRel(sub, m, d, nil, rel)
 				if err != nil {
-					return nil, err
+					return nil, 0, err
 				}
 			}
 			if !res.Feasible {
@@ -131,11 +143,14 @@ func referenceLookahead(g *graph.Graph, m *machine.Machine, opt Options) (*Resul
 					}
 				}
 			}
-			return res.S, nil
+			return res.S, bump, nil
 		}
-		s, err := mergeRounds(d)
+		s, n, err := mergeRounds(d)
 		if err != nil {
 			return nil, err
+		}
+		if rounds != nil {
+			rounds[b] = n
 		}
 		if !opt.SkipDelay {
 			s, d, err = idle.ReferenceDelayIdleSlotsRel(s, m, d, nil, rel)
@@ -158,7 +173,7 @@ func referenceLookahead(g *graph.Graph, m *machine.Machine, opt Options) (*Resul
 					d[si] = t
 				}
 			}
-			s2, err := mergeRounds(d)
+			s2, _, err := mergeRounds(d)
 			if err != nil {
 				return nil, err
 			}
@@ -346,23 +361,44 @@ func referenceChop(s *sched.Schedule, w int) (minus, plus []graph.NodeID, base i
 	return minus, plus, j + 1
 }
 
-// randomTrace builds an acyclic multi-block trace with forward edges only.
-func randomDiffTrace(r *rand.Rand, n, nblocks int, p float64, classes int) *graph.Graph {
+// randomDiffTrace builds an acyclic multi-block trace with forward edges
+// only, execution times in [1, maxExec] and latencies in [0, maxLat].
+func randomDiffTrace(r *rand.Rand, n, nblocks int, p float64, classes, maxExec, maxLat int) *graph.Graph {
 	g := graph.New(n)
 	for i := 0; i < n; i++ {
-		g.AddNode(fmt.Sprintf("n%d", i), 1+r.Intn(2), r.Intn(classes), i*nblocks/n)
+		g.AddNode(fmt.Sprintf("n%d", i), 1+r.Intn(maxExec), r.Intn(classes), i*nblocks/n)
 	}
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			if r.Float64() < p {
-				g.MustEdge(graph.NodeID(i), graph.NodeID(j), r.Intn(3), 0)
+				g.MustEdge(graph.NodeID(i), graph.NodeID(j), r.Intn(maxLat+1), 0)
 			}
 		}
 	}
 	return g
 }
 
+// TestDifferentialLookaheadMatchesReference compares LookaheadOpts with
+// referenceLookahead, whose merge is the unit-step loosening loop, on random
+// traces and on benchmark-shaped ones outside the restricted model. The
+// latter are where the merge settles its loosening rounds, so the test also
+// requires both settled outcomes to have fired: a loop that ran out its
+// rounds with an old node late, and one that jumped to its first feasible
+// round.
 func TestDifferentialLookaheadMatchesReference(t *testing.T) {
+	jumps := CountLoosenJumps(t)
+	check := func(label string, g *graph.Graph, m *machine.Machine, opt Options) {
+		t.Helper()
+		want, err := referenceLookahead(g, m, opt)
+		if err != nil {
+			t.Fatalf("%s: reference: %v", label, err)
+		}
+		got, err := LookaheadOpts(g, m, opt)
+		if err != nil {
+			t.Fatalf("%s: optimized: %v", label, err)
+		}
+		assertSameResult(t, label, g, got, want)
+	}
 	cases := []struct {
 		m       *machine.Machine
 		classes int
@@ -375,18 +411,41 @@ func TestDifferentialLookaheadMatchesReference(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {
 		cs := cases[seed%int64(len(cases))]
 		r := rand.New(rand.NewSource(seed))
-		g := randomDiffTrace(r, 4+r.Intn(20), 1+r.Intn(4), 0.3, cs.classes)
-		opt := Options{SkipDelay: seed%5 == 4}
-
-		want, err := referenceLookahead(g, cs.m, opt)
+		g := randomDiffTrace(r, 4+r.Intn(20), 1+r.Intn(4), 0.3, cs.classes, 2, 2)
+		check(fmt.Sprintf("seed %d on %s", seed, cs.m.Name), g, cs.m, Options{SkipDelay: seed%5 == 4})
+	}
+	// Three-cycle instructions and latencies up to 4: new nodes that stay
+	// late for many rounds while every old node keeps its deadline.
+	for seed := int64(0); seed < 80; seed++ {
+		m := []*machine.Machine{machine.SingleUnit(4), machine.RS6000(4)}[seed%2]
+		r := rand.New(rand.NewSource(seed))
+		g := randomDiffTrace(r, 8+r.Intn(16), 2+r.Intn(4), 0.3, 3, 3, 4)
+		check(fmt.Sprintf("long seed %d on %s", seed, m.Name), g, m, Options{SkipDelay: seed%5 == 4})
+	}
+	// trace-cold's three-class RS/6000 shape with two-cycle instructions,
+	// and wide single-class machines.
+	rs := workload.DefaultTrace()
+	rs.Classes, rs.MaxExec = 3, 2
+	wide := workload.DefaultTrace()
+	wide.MaxExec = 2
+	shapes := []struct {
+		cfg workload.TraceConfig
+		m   *machine.Machine
+	}{
+		{rs, machine.RS6000(4)},
+		{workload.DefaultTrace(), machine.Superscalar(2, 4)},
+		{wide, machine.Superscalar(3, 2)},
+	}
+	for seed := int64(0); seed < 60; seed++ {
+		sh := shapes[seed%int64(len(shapes))]
+		g, err := workload.Trace(rand.New(rand.NewSource(seed)), sh.cfg)
 		if err != nil {
-			t.Fatalf("seed %d: reference: %v", seed, err)
+			t.Fatal(err)
 		}
-		got, err := LookaheadOpts(g, cs.m, opt)
-		if err != nil {
-			t.Fatalf("seed %d: optimized: %v", seed, err)
-		}
-		assertSameResult(t, fmt.Sprintf("seed %d on %s", seed, cs.m.Name), g, got, want)
+		check(fmt.Sprintf("trace seed %d on %s", seed, sh.m.Name), g, sh.m, Options{SkipDelay: seed%7 == 6})
+	}
+	if f, l := jumps.Feasible.Load(), jumps.Limit.Load(); f < 3 || l < 100 {
+		t.Fatalf("settled loosening loops: %d jumped to a feasible round (want ≥ 3), %d ran to the limit (want ≥ 100)", f, l)
 	}
 }
 
@@ -490,5 +549,292 @@ func TestDifferentialRestrictedRepairMatchesReference(t *testing.T) {
 			}
 		}
 		run(fmt.Sprintf("seed %d", seed), g, machine.SingleUnit(2+r.Intn(4)), false)
+	}
+}
+
+// rs6000TraceShape is trace-cold's RS/6000 shape: three unit classes and
+// two-cycle instructions, where greedy-by-rank often misses an old node's
+// deadline and the merge settles its loosening rounds.
+func rs6000TraceShape() (workload.TraceConfig, *machine.Machine) {
+	cfg := workload.DefaultTrace()
+	cfg.Classes, cfg.MaxExec = 3, 2
+	return cfg, machine.RS6000(4)
+}
+
+// TestLoosenEventsMatchReferenceRounds: a traced run emits one
+// KindMergeLoosen event per round the unit-step loop runs, numbered from 1
+// in each block, also where the merge settles its rounds and re-ranks only
+// some of them: RS/6000-shaped traces run theirs to the limit, and traces
+// with three-cycle instructions and long latencies jump to a feasible
+// round.
+func TestLoosenEventsMatchReferenceRounds(t *testing.T) {
+	jumps := CountLoosenJumps(t)
+	check := func(label string, g *graph.Graph, m *machine.Machine) {
+		t.Helper()
+		want := map[int]int{}
+		ref, err := referenceLookaheadRounds(g, m, Options{}, want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		maps.DeleteFunc(want, func(_, n int) bool { return n == 0 })
+		rec := obs.NewRecorder()
+		got, err := LookaheadOpts(g, m, Options{Tracer: rec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertSameResult(t, label, g, got, ref)
+		seen := map[int]int{}
+		for _, e := range rec.Events() {
+			if e.Kind != obs.KindMergeLoosen {
+				continue
+			}
+			seen[e.Block]++
+			if e.N != seen[e.Block] {
+				t.Fatalf("%s: block %d loosen event numbered %d, want %d", label, e.Block, e.N, seen[e.Block])
+			}
+		}
+		if !maps.Equal(seen, want) {
+			t.Fatalf("%s: loosen events per block %v, unit-step rounds %v", label, seen, want)
+		}
+	}
+	cfg, m := rs6000TraceShape()
+	for seed := int64(1); seed <= 8; seed++ {
+		g, err := workload.Trace(rand.New(rand.NewSource(seed)), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("RS/6000 seed %d", seed), g, m)
+	}
+	for seed := int64(0); seed < 40; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		g := randomDiffTrace(r, 8+r.Intn(16), 2+r.Intn(4), 0.3, 3, 3, 4)
+		check(fmt.Sprintf("long seed %d", seed), g, machine.SingleUnit(4))
+	}
+	if f, l := jumps.Feasible.Load(), jumps.Limit.Load(); f < 2 || l < 30 {
+		t.Fatalf("settled loosening loops: %d jumped to a feasible round (want ≥ 2), %d ran to the limit (want ≥ 30)", f, l)
+	}
+}
+
+// decodeDiffInstance decodes fuzz bytes into a multi-block trace outside
+// the restricted model, for the differential fuzz target:
+//
+//	data[0]       → bits 0-1: machine (one unit, RS/6000, 2-wide, a 2+1
+//	                unit two-class machine); bits 2-3: window W ∈ [2,5];
+//	                bit 4: SkipDelay
+//	data[1]       → node count n ∈ [2,25]
+//	data[2:2+n]   → per node: bit 0 block delta (block indices start at 0
+//	                and never decrease), bits 1-2 execution time − 1,
+//	                bits 3-4 unit class (modulo the machine's classes)
+//	rest, in pairs → edges: a = latency<<5 | src, b = dst; the edge
+//	                src%n → dst%n is added iff src < dst (always a DAG)
+//
+// It returns a nil graph when data is too short to describe an instance.
+func decodeDiffInstance(data []byte) (*graph.Graph, *machine.Machine, Options) {
+	if len(data) < 2 {
+		return nil, nil, Options{}
+	}
+	w := 2 + int(data[0]>>2)%4
+	m := []*machine.Machine{machine.SingleUnit(w), machine.RS6000(w), machine.Superscalar(2, w),
+		machine.NewMachine("2+1", []int{2, 1}, w)}[data[0]&3]
+	opt := Options{SkipDelay: data[0]&0x10 != 0}
+	n := 2 + int(data[1])%24
+	if len(data) < 2+n {
+		return nil, nil, Options{}
+	}
+	g := graph.New(n)
+	blk := 0
+	for i, b := range data[2 : 2+n] {
+		blk += int(b & 1)
+		g.AddNode(fmt.Sprintf("n%d", i), 1+int(b>>1)&3, int(b>>3)&3%len(m.Units), blk)
+	}
+	for p := 2 + n; p+1 < len(data); p += 2 {
+		lat := int(data[p] >> 5)
+		src := int(data[p]&0x1F) % n
+		if dst := int(data[p+1]) % n; src < dst {
+			g.MustEdge(graph.NodeID(src), graph.NodeID(dst), lat, 0)
+		}
+	}
+	return g, m, opt
+}
+
+// encodeDiffInstance is decodeDiffInstance's inverse for seeding the corpus
+// (head is data[0]); g must fit the encoding: at most 25 nodes, block steps
+// of at most one, execution times ≤ 4, latencies ≤ 7 and node IDs ≤ 31.
+func encodeDiffInstance(g *graph.Graph, head byte) []byte {
+	data := []byte{head, byte(g.Len() - 2)}
+	prev := 0
+	for v := 0; v < g.Len(); v++ {
+		nd := g.Node(graph.NodeID(v))
+		data = append(data, byte(nd.Block-prev)|byte(nd.Exec-1)<<1|byte(nd.Class)<<3)
+		prev = nd.Block
+	}
+	for v := 0; v < g.Len(); v++ {
+		for _, e := range g.Out(graph.NodeID(v)) {
+			data = append(data, byte(e.Latency<<5|int(e.Src)), byte(e.Dst))
+		}
+	}
+	return data
+}
+
+// FuzzLookaheadMatchesReference compares LookaheadOpts with the unit-step
+// reference on byte-decoded multi-class, multi-cycle traces: order, starts,
+// units and block orders must agree.
+func FuzzLookaheadMatchesReference(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0x05, 10, 0, 2, 3, 8, 1, 2, 10, 0, 3, 1, 0x41, 3, 0x22, 5, 0x63, 7, 0x84, 9})
+	for seed := int64(0); seed < 8; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		g := randomDiffTrace(r, 8+r.Intn(16), 2+r.Intn(4), 0.3, 3, 3, 4)
+		f.Add(encodeDiffInstance(g, byte(seed%2)|1<<2))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		g, m, opt := decodeDiffInstance(data)
+		if g == nil {
+			return
+		}
+		want, err := referenceLookahead(g, m, opt)
+		if err != nil {
+			t.Fatalf("reference: %v", err)
+		}
+		got, err := LookaheadOpts(g, m, opt)
+		if err != nil {
+			t.Fatalf("optimized: %v", err)
+		}
+		assertSameResult(t, m.Name, g, got, want)
+	})
+}
+
+// unitStepMergeRounds is Step.mergeRounds with the loop it settles: one
+// re-rank per loosening round up to the limit, then the §4.2 fallback.
+func unitStepMergeRounds(st *Step, in *StepIn, d []int, repin bool) (*sched.Schedule, error) {
+	sn := in.View.N
+	_, res, err := st.rerank(d)
+	if err != nil {
+		return nil, err
+	}
+	for bump := 0; !res.Feasible && bump <= 4*(sn+max(in.View.MaxLat, 1)+2); bump++ {
+		if tr := in.Tracer; tr != nil && !repin {
+			tr.Emit(obs.Event{Kind: obs.KindMergeLoosen, Block: in.Block, Node: graph.None, N: bump + 1})
+		}
+		for si := 0; si < sn; si++ {
+			if !in.IsOld[si] {
+				d[si]++
+			}
+		}
+		if _, res, err = st.rerank(d); err != nil {
+			return nil, err
+		}
+	}
+	for tries := 0; !res.Feasible && tries < 30; tries++ {
+		changed := false
+		for si := 0; si < sn; si++ {
+			if f := res.S.Finish(graph.NodeID(si)); f > d[si] {
+				d[si] = f
+				changed = true
+			}
+		}
+		if !changed {
+			break
+		}
+		if _, res, err = st.rerank(d); err != nil {
+			return nil, err
+		}
+	}
+	if !res.Feasible {
+		for si := 0; si < sn; si++ {
+			if f := res.S.Finish(graph.NodeID(si)); f > d[si] {
+				d[si] = f
+			}
+		}
+	}
+	return res.S, nil
+}
+
+// TestMergeRoundsMatchesUnitStep compares Step.mergeRounds with
+// unitStepMergeRounds on random views — the last block new, the rest old —
+// under random deadlines and release times, on the first merge and on the
+// repair path: schedules, final deadlines and loosen events must agree.
+// Arbitrary deadlines reach settled states that Run's assignment seldom
+// does, such as a feasible round several rounds away.
+func TestMergeRoundsMatchesUnitStep(t *testing.T) {
+	jumps := CountLoosenJumps(t)
+	machines := []*machine.Machine{machine.SingleUnit(2), machine.RS6000(4), machine.Superscalar(2, 4)}
+	for seed := int64(0); seed < 600; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		m := machines[seed%int64(len(machines))]
+		g := randomDiffTrace(r, 4+r.Intn(16), 2+r.Intn(3), 0.3, len(m.Units), 3, 4)
+		view := graph.NewCSR(g).View()
+		n := view.N
+		in := StepIn{View: view, M: m, IsOld: make([]bool, n), DOld: make([]int, n),
+			FOld: make([]int, n), ROld: make([]int, n)}
+		// Odd seeds give the old nodes room and put the new deadlines past
+		// every old one by more than settle's gap, with releases that keep
+		// new nodes late for several rounds.
+		gap := view.MaxLat
+		for _, e := range view.Exec {
+			gap += int(e)
+		}
+		d := make([]int, n)
+		for v := range n {
+			in.IsOld[v] = view.Block[v] != view.Block[n-1]
+			switch {
+			case seed%2 == 0:
+				d[v] = 1 + r.Intn(3*n)
+				if r.Intn(4) == 0 {
+					in.ROld[v] = r.Intn(2 * n)
+				}
+			case in.IsOld[v]:
+				d[v] = gap
+			default:
+				d[v] = 2*gap + 1 + r.Intn(4)
+				if r.Intn(2) == 0 {
+					in.ROld[v] = d[v] + r.Intn(6) - 2
+				}
+			}
+		}
+		for _, repin := range []bool{false, true} {
+			var s [2]*sched.Schedule
+			var dd [2][]int
+			var events [2][]obs.Event
+			for i, merge := range []func(*Step, *StepIn, []int, bool) (*sched.Schedule, error){
+				(*Step).mergeRounds, unitStepMergeRounds,
+			} {
+				rec := obs.NewRecorder()
+				in.Tracer = rec
+				var st Step
+				if _, err := st.assign(&in); err != nil {
+					t.Fatal(err)
+				}
+				copy(st.d, d)
+				var err error
+				if s[i], err = merge(&st, &in, st.d, repin); err != nil {
+					t.Fatal(err)
+				}
+				dd[i], events[i] = st.d, rec.Events()
+			}
+			label := fmt.Sprintf("seed %d repin %t", seed, repin)
+			if !slices.Equal(s[0].Start, s[1].Start) || !slices.Equal(s[0].Unit, s[1].Unit) {
+				t.Fatalf("%s: schedules differ\n got %v\n want %v", label, s[0].Start, s[1].Start)
+			}
+			if !slices.Equal(dd[0], dd[1]) {
+				t.Fatalf("%s: deadlines differ\n got %v\n want %v", label, dd[0], dd[1])
+			}
+			if !slices.Equal(events[0], events[1]) {
+				t.Fatalf("%s: %d events, unit-step %d", label, len(events[0]), len(events[1]))
+			}
+		}
+	}
+	for _, c := range []struct {
+		name string
+		n    int64
+	}{
+		{"jumped to a feasible round", jumps.Feasible.Load()},
+		{"jumped more than one round to a feasible one", jumps.Far.Load()},
+		{"ran to the limit", jumps.Limit.Load()},
+		{"settled on the repair path", jumps.Repin.Load()},
+	} {
+		if c.n < 50 {
+			t.Errorf("%d settled loosening loops %s, want ≥ 50", c.n, c.name)
+		}
 	}
 }

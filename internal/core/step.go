@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"slices"
 
 	"aisched/internal/graph"
@@ -100,67 +101,15 @@ type StepOut struct {
 
 // Run executes one merge + delay + chop iteration.
 func (st *Step) Run(in *StepIn) (StepOut, error) {
-	if st.rc == nil {
-		st.rc = rank.NewReusable()
+	t, err := st.assign(in)
+	if err != nil {
+		return StepOut{}, err
 	}
-	rc := st.rc
-	view := in.View
-	sn := view.N
+	rc, d := st.rc, st.d
+	sn := in.View.N
 	tr := in.Tracer
 
-	// One rank context per view: the merge re-ranks, every loosening round
-	// and the whole Delay_Idle_Slots pass share its cached topo order,
-	// descendant closure and scratch — and the context itself (arena
-	// included) is recycled across blocks, calls and pushes. Every re-rank
-	// is a Refresh from the deadlines the context last ranked for.
-	if err := rc.Reset(view, in.M, nil); err != nil {
-		return StepOut{}, err
-	}
-	rc.SetBudget(in.Budget)
-	if in.ROld != nil {
-		// Release times floor every greedy reschedule of this iteration —
-		// merge passes, loosening rounds, Delay_Idle_Slots, the repair — so
-		// the prediction honors latencies owed to already-committed sources.
-		st.rel = growSlice(st.rel, sn)
-		rel := st.rel
-		for si := 0; si < sn; si++ {
-			if in.ROld[si] > 0 {
-				rel[si] = in.ROld[si]
-			} else {
-				rel[si] = 0
-			}
-		}
-		rc.SetRelease(rel)
-	}
-
 	// ---- merge (paper Figure 7) ----
-	// Lower bound pass: every deadline = D.
-	st.d = growSlice(st.d, sn)
-	d := st.d
-	for i := range d {
-		d[i] = rank.Big
-	}
-	ranks, err := rc.Refresh(d)
-	if err != nil {
-		return StepOut{}, err
-	}
-	res0, err := rc.RunRanks(ranks, d, nil)
-	if err != nil {
-		return StepOut{}, err
-	}
-	t := res0.S.Makespan()
-	// Deadline assignment: old confined to its standalone makespan (or its
-	// previously committed tighter deadline), new bounded by T.
-	for si := 0; si < sn; si++ {
-		if in.IsOld[si] {
-			d[si] = in.DOld[si]
-			if in.OldMakespan < d[si] {
-				d[si] = in.OldMakespan
-			}
-		} else {
-			d[si] = t
-		}
-	}
 	s, err := st.mergeRounds(in, d, false)
 	if err != nil {
 		return StepOut{}, err
@@ -254,47 +203,125 @@ func (st *Step) Run(in *StepIn) (StepOut, error) {
 	return StepOut{S: s, D: d, Minus: minus, Plus: plus, Base: base, Repaired: repaired}, nil
 }
 
+// assign binds the Step's rank context to in's view, runs the merge's
+// lower-bound pass (paper Figure 7) and fills st.d with the merge's
+// deadline assignment. It returns T, the lower bound's makespan.
+func (st *Step) assign(in *StepIn) (int, error) {
+	if st.rc == nil {
+		st.rc = rank.NewReusable()
+	}
+	rc := st.rc
+	view := in.View
+	sn := view.N
+
+	// One rank context per view: the merge re-ranks, every loosening round
+	// and the whole Delay_Idle_Slots pass share its cached topo order,
+	// descendant closure and scratch — and the context itself (arena
+	// included) is recycled across blocks, calls and pushes. Every re-rank
+	// is a Refresh from the deadlines the context last ranked for.
+	if err := rc.Reset(view, in.M, nil); err != nil {
+		return 0, err
+	}
+	rc.SetBudget(in.Budget)
+	if in.ROld != nil {
+		// Release times floor every greedy reschedule of this iteration —
+		// merge passes, loosening rounds, Delay_Idle_Slots, the repair — so
+		// the prediction honors latencies owed to already-committed sources.
+		st.rel = growSlice(st.rel, sn)
+		rel := st.rel
+		for si := 0; si < sn; si++ {
+			if in.ROld[si] > 0 {
+				rel[si] = in.ROld[si]
+			} else {
+				rel[si] = 0
+			}
+		}
+		rc.SetRelease(rel)
+	}
+
+	// Lower bound pass: every deadline = D.
+	st.d = growSlice(st.d, sn)
+	d := st.d
+	for i := range d {
+		d[i] = rank.Big
+	}
+	_, res0, err := st.rerank(d)
+	if err != nil {
+		return 0, err
+	}
+	t := res0.S.Makespan()
+	// Deadline assignment: old confined to its standalone makespan (or its
+	// previously committed tighter deadline), new bounded by T.
+	for si := 0; si < sn; si++ {
+		if in.IsOld[si] {
+			d[si] = in.DOld[si]
+			if in.OldMakespan < d[si] {
+				d[si] = in.OldMakespan
+			}
+		} else {
+			d[si] = t
+		}
+	}
+	return t, nil
+}
+
 // mergeRounds runs the merge's re-rank under the assigned deadlines d, then
 // the deadline-loosening loop and the §4.2 heuristic fallback, returning the
 // best schedule found. repin is set on the repair path, which reports itself
 // through the single KindMergePin event instead of per-round loosen events.
+//
+// The loop loosens the new deadlines one cycle per round, but it stops
+// re-ranking once the rounds left are settled (see settle): it adds the
+// bumps the unit-step loop would still make and ends in the state that loop
+// ends in, with the same schedule, deadlines and loosen events. A skipped
+// round runs no rank pass, so it charges none to the budget.
 func (st *Step) mergeRounds(in *StepIn, d []int, repin bool) (*sched.Schedule, error) {
-	rc := st.rc
 	view := in.View
 	sn := view.N
-	ranks, err := rc.Refresh(d)
+	ranks, res, err := st.rerank(d)
 	if err != nil {
 		return nil, err
 	}
-	res, err := rc.RunRanks(ranks, d, nil)
-	if err != nil {
-		return nil, err
-	}
+	s, feasible := res.S, res.Feasible
 	mb := 1
 	if view.MaxLat > mb {
 		mb = view.MaxLat
 	}
 	mb = 4 * (sn + mb + 2) // maxBump over the view
-	for bump := 0; !res.Feasible && bump <= mb; bump++ {
+	gap := view.MaxLat
+	for _, e := range view.Exec {
+		gap += int(e)
+	}
+	for bump := 0; !feasible && bump <= mb; bump++ {
+		rounds, ok, settled := settle(in, ranks, d, s, gap, mb+1-bump)
+		if !settled {
+			rounds = 1
+		}
 		if tr := in.Tracer; tr != nil && !repin {
-			tr.Emit(obs.Event{Kind: obs.KindMergeLoosen, Block: in.Block,
-				Node: graph.None, N: bump + 1})
+			for r := 1; r <= rounds; r++ {
+				tr.Emit(obs.Event{Kind: obs.KindMergeLoosen, Block: in.Block,
+					Node: graph.None, N: bump + r})
+			}
 		}
 		for si := 0; si < sn; si++ {
 			if !in.IsOld[si] {
-				d[si]++
+				d[si] += rounds
 			}
+		}
+		if settled {
+			if loosenJumpHook != nil {
+				loosenJumpHook(rounds, ok, repin)
+			}
+			feasible = ok
+			break
 		}
 		// Only the new nodes' deadlines moved, all by one: the new nodes'
 		// ranks shift, and only the old nodes above them are recomputed.
 		// An unchanged priority list reuses the previous schedule.
-		if ranks, err = rc.Refresh(d); err != nil {
+		if ranks, res, err = st.rerank(d); err != nil {
 			return nil, err
 		}
-		res, err = rc.RunRanks(ranks, d, nil)
-		if err != nil {
-			return nil, err
-		}
+		s, feasible = res.S, res.Feasible
 	}
 	// Heuristic-regime fallback (§4.2): with multiple units, multi-cycle
 	// instructions or long latencies, greedy-by-rank may miss even the old
@@ -302,10 +329,10 @@ func (st *Step) mergeRounds(in *StepIn, d []int, repin bool) (*sched.Schedule, e
 	// paper guarantees a feasible schedule exists (old followed by new);
 	// rather than abort, sync every deadline to the achieved finish time so
 	// the pipeline proceeds with the best schedule found.
-	for tries := 0; !res.Feasible && tries < 30; tries++ {
+	for tries := 0; !feasible && tries < 30; tries++ {
 		changed := false
 		for si := 0; si < sn; si++ {
-			if f := res.S.Finish(graph.NodeID(si)); f > d[si] {
+			if f := s.Finish(graph.NodeID(si)); f > d[si] {
 				d[si] = f
 				changed = true
 			}
@@ -313,22 +340,94 @@ func (st *Step) mergeRounds(in *StepIn, d []int, repin bool) (*sched.Schedule, e
 		if !changed {
 			break
 		}
-		if ranks, err = rc.Refresh(d); err != nil {
+		if _, res, err = st.rerank(d); err != nil {
 			return nil, err
 		}
-		res, err = rc.RunRanks(ranks, d, nil)
-		if err != nil {
-			return nil, err
-		}
+		s, feasible = res.S, res.Feasible
 	}
-	if !res.Feasible {
+	if !feasible {
 		for si := 0; si < sn; si++ {
-			if f := res.S.Finish(graph.NodeID(si)); f > d[si] {
+			if f := s.Finish(graph.NodeID(si)); f > d[si] {
 				d[si] = f
 			}
 		}
 	}
-	return res.S, nil
+	return s, nil
+}
+
+// rerank re-ranks the view under d and greedily schedules the result.
+func (st *Step) rerank(d []int) ([]int, *rank.Result, error) {
+	ranks, err := st.rc.Refresh(d)
+	if err != nil {
+		return nil, nil, err
+	}
+	res, err := st.rc.RunRanks(ranks, d, nil)
+	return ranks, res, err
+}
+
+// loosenJumpHook, when non-nil, is called for every settled loosening loop
+// with the rounds it added at once, whether it ended feasible, and whether it
+// ran on the repair path. Tests install it to count the outcomes.
+var loosenJumpHook func(rounds int, feasible, repin bool)
+
+// settle decides, from an infeasible round's ranks, deadlines d and
+// schedule s, whether the loosening rounds still to come are settled, and
+// if so how many of the left rounds the unit-step loop would run and
+// whether it would end feasible.
+//
+// The rounds are settled once minRank(new) > maxRank(old) + gap, where gap
+// is the view's total execution time plus its largest latency. From then on
+// each round adds one to every new rank and leaves every old rank, and so
+// the priority list and s, as they are:
+//   - A new node has no path to an old one (edges run forward in block
+//     order), so its closure is all new and its rank moves with the new
+//     deadlines, exactly by one.
+//   - In an old node v's packing (rank.Ctx's rankOf) every new entry sorts
+//     after every old one. By induction over v's old descendants, the old
+//     entries keep their placements; the new entries, shifted together,
+//     keep their order and placements, and so each new term grows by one.
+//   - No new entry u's term binds v's rank. Follow the full cycles that
+//     pushed u's placement back to an entry c placed at its own latency: u
+//     ends at most that latency plus the chain's execution times past v's
+//     completion. If c is old, c's own term bounds its latency. If c is
+//     new, the longest path to c leaves v and its old descendants over one
+//     edge (at most MaxLat), and each new edge after it raises the rank by
+//     at least its latency plus the next execution time. Either way u's
+//     term exceeds v's rank by more than gap minus that latency and the
+//     distinct nodes' execution times counted, which is not negative.
+//
+// So every later round schedules s. Old finishes and deadlines stay fixed
+// while each new node's rank and deadline gain one per round: with an old
+// node late (finish past its deadline, or rank below its execution time)
+// every left round fails; otherwise the first feasible round is the largest
+// of finish − d and exec − rank over the new nodes. A view without old
+// nodes, or without new ones, is settled at once.
+func settle(in *StepIn, ranks, d []int, s *sched.Schedule, gap, left int) (rounds int, feasible, settled bool) {
+	view := in.View
+	minNew, maxOld := math.MaxInt, math.MinInt
+	for si, r := range ranks[:view.N] {
+		if in.IsOld[si] {
+			maxOld = max(maxOld, r)
+		} else {
+			minNew = min(minNew, r)
+		}
+	}
+	if maxOld != math.MinInt && minNew != math.MaxInt && minNew-maxOld <= gap {
+		return 0, false, false
+	}
+	oldLate, k := false, 0
+	for si := 0; si < view.N; si++ {
+		late := max(s.Finish(graph.NodeID(si))-d[si], int(view.Exec[si])-ranks[si])
+		if in.IsOld[si] {
+			oldLate = oldLate || late > 0
+		} else {
+			k = max(k, late)
+		}
+	}
+	if oldLate || k > left {
+		return left, false, true
+	}
+	return k, true, true
 }
 
 // restrictedModel reports whether the view is an instance of the paper's

@@ -41,9 +41,11 @@ type Budget struct {
 	// WallClock is the per-request wall-clock allowance (0 = unlimited).
 	WallClock time.Duration
 	// MaxRankPasses caps the number of rank passes (greedy reschedules) a
-	// request may run (0 = unlimited). Every merge round, idle-slot
-	// demotion and loop candidate costs at least one pass, so this bounds
-	// the scheduler's dominant cost deterministically.
+	// request may run (0 = unlimited). It counts the passes that run:
+	// every merge round that re-ranks, idle-slot demotion and loop
+	// candidate costs at least one pass, so this bounds the scheduler's
+	// dominant cost deterministically. Loosening rounds the merge settles
+	// without re-ranking (their outcome is already fixed) cost none.
 	MaxRankPasses int
 }
 

@@ -36,6 +36,7 @@ go test -run '^$' -fuzz '^FuzzExactOracle$' -fuzztime 10s .
 go test -run '^$' -fuzz '^FuzzSpeculativeTrace$' -fuzztime 10s .
 go test -run '^$' -fuzz '^FuzzScheduleLoop$' -fuzztime 10s .
 go test -run '^$' -fuzz '^FuzzRankRefresh$' -fuzztime 10s ./internal/rank
+go test -run '^$' -fuzz '^FuzzLookaheadMatchesReference$' -fuzztime 10s ./internal/core
 go test -run '^$' -fuzz '^FuzzBuildGraphs$' -fuzztime 10s ./internal/deps
 go test -run '^$' -fuzz '^FuzzContentHash$' -fuzztime 10s ./internal/graph
 echo "== optimality-gap quick sweep (E1GAP, reduced instance count)"
