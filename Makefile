@@ -19,7 +19,7 @@ bench:
 # Refresh the committed benchmark snapshot the ≤2% regression budget is
 # measured against.
 bench-snapshot:
-	$(GO) run ./cmd/benchsnap -o BENCH_PR27.json
+	$(GO) run ./cmd/benchsnap -o BENCH_PR29.json
 
 experiments:
 	$(GO) run ./cmd/experiments

@@ -200,7 +200,10 @@ func ScheduleTrace(g *Graph, m *Machine) (*TraceResult, error) {
 // ScheduleLoop schedules a loop body graph (distance-1 carried edges): the
 // §5.2 general case for single-block bodies, the §5.1 trace algorithm for
 // multi-block bodies. The result reports the static order and the periodic
-// steady state. ScheduleLoopCtx adds cooperative cancellation.
+// steady state. ScheduleLoopCtx adds cooperative cancellation. Like
+// ScheduleTrace, it runs on the caller's goroutine and lets a panic inside
+// the scheduler through; ScheduleBatch, and ScheduleLoop on a Scheduler
+// with its cache on, return it as an error instead.
 func ScheduleLoop(g *Graph, m *Machine) (*LoopSteady, error) {
 	return ScheduleLoopCtx(context.Background(), g, m)
 }

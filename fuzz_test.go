@@ -18,7 +18,9 @@ package aisched
 //     uncached loops.ScheduleLoop ones, and the memo hits a relabelled
 //     rebuild but misses an ID-permuted body unless it is the same
 //     instance. Loop keys are the only memo keys whose carried edges'
-//     distances must enter the key.
+//     distances must enter the key. On a single-block body every §5.2.3
+//     candidate's steady state, and the one chosen, equal those of a
+//     search that evaluates every candidate (referenceLoopCandidates).
 //
 // Run as ordinary tests they exercise the seed corpus; `go test -fuzz` (see
 // scripts/check.sh) explores the byte space.
@@ -31,8 +33,10 @@ import (
 	"testing"
 
 	"aisched/internal/baseline"
+	"aisched/internal/graph"
 	"aisched/internal/hw"
 	"aisched/internal/loops"
+	"aisched/internal/obs"
 	"aisched/internal/paperex"
 	"aisched/internal/sched"
 )
@@ -393,22 +397,139 @@ func instanceEncoding(g *Graph) string {
 	return b.String()
 }
 
+// loopCandidate is one §5.2.3 candidate: its kind, its instruction
+// (graph.None for the base) and its steady state.
+type loopCandidate struct {
+	kind string
+	node NodeID
+	st   *LoopSteady
+}
+
+// referenceLoopCandidates is the §5.2.3 search of a single-block body with
+// no candidate skipped, built from the exported API (internal/loops tests
+// its own search against referenceSingleBlockLoop, which this package
+// cannot see). It returns every candidate in candidate order: the base
+// (the block schedule of the loop-independent subgraph), each target of a
+// carried edge as a single source, then each carried edge's source as a
+// single sink; with no latency above 1 only the subgraph's sources and
+// sinks qualify.
+func referenceLoopCandidates(g *Graph, m *Machine) ([]loopCandidate, error) {
+	li := g.LoopIndependent()
+	n := g.Len()
+	isSource, isSink := make([]bool, n), make([]bool, n)
+	maxLat := 0
+	for _, e := range g.Edges() {
+		maxLat = max(maxLat, e.Latency)
+		if e.Distance > 0 {
+			isSource[e.Dst], isSink[e.Src] = true, true
+		}
+	}
+	if maxLat <= 1 {
+		liSource, liSink := make([]bool, n), make([]bool, n)
+		for _, v := range li.Sources() {
+			liSource[v] = true
+		}
+		for _, v := range li.Sinks() {
+			liSink[v] = true
+		}
+		for v := range n {
+			isSource[v] = isSource[v] && liSource[v]
+			isSink[v] = isSink[v] && liSink[v]
+		}
+	}
+	base, err := ScheduleBlock(li, m)
+	if err != nil {
+		return nil, err
+	}
+	st, err := EvaluateLoopOrder(g, m, base.Permutation())
+	if err != nil {
+		return nil, err
+	}
+	out := []loopCandidate{{kind: "base", node: graph.None, st: st}}
+	for _, kind := range []string{"source", "sink"} {
+		for v := range n {
+			y := NodeID(v)
+			var order []NodeID
+			switch {
+			case kind == "source" && isSource[v]:
+				order, err = loops.SingleSourceOrder(g, m, y)
+			case kind == "sink" && isSink[v]:
+				order, err = loops.SingleSinkOrder(g, m, y)
+			default:
+				continue
+			}
+			if err != nil {
+				return nil, err
+			}
+			if st, err = EvaluateLoopOrder(g, m, order); err != nil {
+				return nil, err
+			}
+			out = append(out, loopCandidate{kind: kind, node: y, st: st})
+		}
+	}
+	return out, nil
+}
+
+// checkLoopCandidates compares the traced loop search on a single-block
+// body with referenceLoopCandidates: one KindIICandidate event per
+// candidate with the reference's kind, node, II and makespan, and want (the
+// untraced result) equal to the first candidate of least (II, makespan).
+func checkLoopCandidates(t *testing.T, g *Graph, m *Machine, want *LoopSteady) {
+	t.Helper()
+	ref, err := referenceLoopCandidates(g, m)
+	if err != nil {
+		t.Fatalf("reference: %v", err)
+	}
+	rec := NewRecorder()
+	if _, err := WithTracer(rec).ScheduleLoop(g, m); err != nil {
+		t.Fatalf("traced: %v", err)
+	}
+	var got []obs.Event
+	for _, ev := range rec.Events() {
+		if ev.Kind == obs.KindIICandidate {
+			got = append(got, ev)
+		}
+	}
+	if len(got) != len(ref) {
+		t.Fatalf("%d candidate events, reference has %d candidates", len(got), len(ref))
+	}
+	best := ref[0].st
+	for i, c := range ref {
+		if ev := got[i]; ev.Pass != c.kind || ev.Node != c.node || ev.N != c.st.II || ev.From != c.st.Makespan {
+			t.Fatalf("candidate %d: %s %d II %d makespan %d, reference %s %d II %d makespan %d",
+				i, ev.Pass, ev.Node, ev.N, ev.From, c.kind, c.node, c.st.II, c.st.Makespan)
+		}
+		if c.st.II < best.II || (c.st.II == best.II && c.st.Makespan < best.Makespan) {
+			best = c.st
+		}
+	}
+	sameSteady(t, "reference", want, best)
+}
+
 // FuzzScheduleLoop: a caching Scheduler against the uncached loop
 // scheduler, on the first call, on a relabelled and edge-shuffled
 // resubmission (a memo hit), on an ID-permuted resubmission (a miss unless
 // the permutation left the instance unchanged), and on the body with its
 // carried distances raised (always a miss: distance is part of the key).
+// A single-block body's candidates are also checked against the reference
+// search (checkLoopCandidates). The last seed is a body whose source
+// candidates n1 and n3 share an exec time but not a class, and give
+// different steady states.
 func FuzzScheduleLoop(f *testing.F) {
 	f.Add([]byte{0x02, 3, 0, 0, 0, 0x41, 1, 0x02, 0x20})
 	f.Add([]byte{0x1a, 6, 0, 1, 0, 1, 0, 1, 0x01, 0x02, 0x43, 0x04, 0x05, 0x20, 0x84, 0x60})
 	f.Add([]byte{0x25, 5, 2, 4, 8, 0, 10, 0x00, 0x03, 0x41, 0x22, 0x82, 0x61})
 	f.Add([]byte{0x3e, 8, 1, 0, 9, 1, 0, 3, 1, 0, 0x00, 0x05, 0x42, 0x07, 0x03, 0x26, 0xc6, 0x40})
+	f.Add([]byte{0x06, 6, 4, 8, 0, 10, 4, 8, 0, 0, 0x80, 0x02, 0x82, 0x04, 0x03, 0x63, 0x05, 0x21})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g, m := decodeLoopInstance(data)
 		if g == nil {
 			return
 		}
 		want, wantErr := loops.ScheduleLoop(g, m)
+		if wantErr == nil && g.Node(0).Block == g.Node(NodeID(g.Len()-1)).Block {
+			checkLoopCandidates(t, g, m, want)
+		}
 		sc := NewScheduler(SchedulerOptions{})
 		check := func(what string, g *Graph, want *LoopSteady, wantErr error, wantHit bool) {
 			t.Helper()

@@ -185,38 +185,73 @@ func TestSimulateMultiUnitCoIssue(t *testing.T) {
 	}
 }
 
-func TestPropertyWindowMonotone(t *testing.T) {
-	// Larger windows never hurt: completion is nonincreasing in W.
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		n := 4 + r.Intn(16)
-		g := graph.New(n)
-		for i := 0; i < n; i++ {
-			g.AddNode("n", 1, 0, i*3/n)
-		}
-		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				if r.Float64() < 0.3 {
-					g.MustEdge(graph.NodeID(i), graph.NodeID(j), r.Intn(3), 0)
-				}
+// windowInstance is the random one-unit trace of seed: 4–19 unit-time nodes
+// in three blocks, forward edges with latency 0–2, in program order.
+func windowInstance(seed int64) *graph.Graph {
+	r := rand.New(rand.NewSource(seed))
+	n := 4 + r.Intn(16)
+	g := graph.New(n)
+	for i := 0; i < n; i++ {
+		g.AddNode("n", 1, 0, i*3/n)
+	}
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			if r.Float64() < 0.3 {
+				g.MustEdge(graph.NodeID(i), graph.NodeID(j), r.Intn(3), 0)
 			}
 		}
+	}
+	return g
+}
+
+// TestPropertyWindowMonotone: a lookahead window never completes later than
+// in-order issue, W = 1. Completion is not monotone across larger windows
+// (TestWindowNonMonotoneSeed): the greedy window machine can issue an
+// instruction early that a larger window reaches and a smaller one does
+// not, delaying a later one. On seeds 0–199,999 no W > 1 finished after
+// W = 1. The seeds come from a fixed source, so every run checks the same
+// instances.
+func TestPropertyWindowMonotone(t *testing.T) {
+	f := func(seed int64) bool {
+		g := windowInstance(seed)
 		order := identity(g.Len())
-		prev := -1
+		inOrder := -1
 		for _, w := range []int{1, 2, 4, 8, 32} {
 			res, err := SimulateTrace(g, machine.SingleUnit(w), order)
 			if err != nil {
 				return false
 			}
-			if prev >= 0 && res.Completion > prev {
+			if w == 1 {
+				inOrder = res.Completion
+			} else if res.Completion > inOrder {
 				return false
 			}
-			prev = res.Completion
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+	cfg := &quick.Config{MaxCount: 50, Rand: rand.New(rand.NewSource(1996))}
+	if err := quick.Check(f, cfg); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestWindowNonMonotoneSeed pins a trace on which a larger window finishes
+// later: 21 cycles at W = 4, 22 at W = 8.
+func TestWindowNonMonotoneSeed(t *testing.T) {
+	g := windowInstance(382006938622374739)
+	want := map[int]int{2: 21, 4: 21, 8: 22, 32: 22}
+	in, err := SimulateTrace(g, machine.SingleUnit(1), identity(g.Len()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range []int{2, 4, 8, 32} {
+		res, err := SimulateTrace(g, machine.SingleUnit(w), identity(g.Len()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Completion != want[w] || res.Completion > in.Completion {
+			t.Fatalf("W=%d: completion %d, want %d (W=1: %d)", w, res.Completion, want[w], in.Completion)
+		}
 	}
 }
 

@@ -15,10 +15,12 @@ type Opts struct {
 	// Tracer, when non-nil, receives the pass events documented on
 	// scheduleSingleBlockLoopOpts and scheduleLoopTraceOpts.
 	Tracer obs.Tracer
-	// Budget, when non-nil, makes every candidate evaluation and rank pass
-	// a cooperative cancellation/budget checkpoint; the scheduler returns
-	// the checkpoint's error (context cancellation or sbudget.ErrExhausted)
-	// instead of a result.
+	// Budget, when non-nil, makes every distinct candidate evaluation and
+	// every rank pass a cooperative cancellation/budget checkpoint; the
+	// scheduler returns the checkpoint's error (context cancellation or
+	// sbudget.ErrExhausted) instead of a result. A candidate that reuses an
+	// earlier candidate's evaluation (see scheduleSingleBlockLoopOpts) is no
+	// checkpoint and charges no rank pass.
 	Budget *sbudget.State
 }
 
@@ -119,10 +121,21 @@ func ScheduleLoop(g *graph.Graph, m *machine.Machine) (*Steady, error) {
 // ScheduleLoopOpts is ScheduleLoop with full options (tracing plus the
 // cancellation/budget checkpoint state).
 func ScheduleLoopOpts(g *graph.Graph, m *machine.Machine, o Opts) (*Steady, error) {
-	if len(blockSet(g)) == 1 {
+	if singleBlock(g) {
 		return scheduleSingleBlockLoopOpts(g, m, o)
 	}
 	return scheduleLoopTraceOpts(g, m, o)
+}
+
+// singleBlock reports whether g is nonempty and every node is in node 0's
+// block. It returns at the first node that is not.
+func singleBlock(g *graph.Graph) bool {
+	for v := 1; v < g.Len(); v++ {
+		if g.Node(graph.NodeID(v)).Block != g.Node(0).Block {
+			return false
+		}
+	}
+	return g.Len() > 0
 }
 
 func blockSet(g *graph.Graph) []int {

@@ -2,7 +2,6 @@ package loops
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 
 	"aisched/internal/graph"
@@ -113,7 +112,8 @@ func singleSinkOrderB(g *graph.Graph, m *machine.Machine, y graph.NodeID, bs *sb
 // candidate schedules its own private graph, but the context's arena, list
 // buffers, and Delay_Idle_Slots scratch all reach steady-state capacity after
 // the first few candidates and are reused instead of reallocated. sync.Pool
-// keeps the concurrent candidate workers from contending over one context.
+// keeps concurrent loop requests (ScheduleBatch runs BatchLoop items on its
+// worker pool) from contending over one context.
 var ctxPool = sync.Pool{New: func() any { return rank.NewReusable() }}
 
 // pooledCtx checks out a context and resets it onto gp.
@@ -233,60 +233,6 @@ func baseOrder(li *graph.Graph, m *machine.Machine, bs *sbudget.State) ([]graph.
 	return s.Permutation(), nil
 }
 
-// candidateWorkers caps the size of the worker pool used by runCandidates.
-// It exists as a variable so tests can force the serial path (≤1) and the
-// race test can pin a specific parallel width.
-var candidateWorkers = func() int { return runtime.GOMAXPROCS(0) }
-
-// runCandidates evaluates fn(i) for i in [0, n) on a bounded worker pool and
-// stores each result (or error) at index i. Candidates are fully independent
-// — each schedules its own private graph copy — so the only shared state is
-// the result slices, written at distinct indices. Callers consume the
-// results in index order, which keeps the observable behaviour (trace event
-// order, best-candidate tie-breaks) identical to the serial loop.
-func runCandidates(n int, fn func(i int) error) []error {
-	errs := make([]error, n)
-	workers := candidateWorkers()
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			errs[i] = runCandidate(i, fn)
-		}
-		return errs
-	}
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				errs[i] = runCandidate(i, fn)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-	return errs
-}
-
-// runCandidate invokes fn(i), converting a panic into a per-candidate error
-// so one panicking candidate cannot kill the process (a panic in a bare
-// worker goroutine is unrecoverable anywhere else).
-func runCandidate(i int, fn func(i int) error) (err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			err = fmt.Errorf("loops: candidate %d panicked: %v", i, p)
-		}
-	}()
-	return fn(i)
-}
-
 // scheduleSingleBlockLoopOpts is ScheduleSingleBlockLoop with options, behind
 // ScheduleLoopOpts. A Tracer sees every candidate evaluation as a
 // KindIICandidate event (candidate kind "base", "source" or "sink"; the
@@ -294,13 +240,14 @@ func runCandidate(i int, fn func(i int) error) (err error) {
 // bracketed by a pass-start/pass-end pair named obs.PassLoop whose end event
 // carries the best II.
 //
-// Candidates are evaluated concurrently on a GOMAXPROCS-bounded worker pool;
-// each candidate schedules a private graph copy, and results are consumed in
-// candidate order, so the chosen schedule and emitted trace are identical to
-// a serial evaluation. The request's budget state is shared by all candidate
-// workers (it is concurrency-safe), so the combined candidate search is
-// metered as one request: each candidate starts with a checkpoint and every
-// rank pass inside it is charged.
+// Candidates are evaluated in order on the caller's goroutine, and each
+// distinct transformed graph only once. singleSourceOrderB and
+// singleSinkOrderB redirect every loop-carried edge to the dummy z, so the
+// graph they schedule depends on the candidate y only through z's exec,
+// class and block: a later candidate of the same kind with the same three
+// reuses the first one's *Steady. Each distinct evaluation starts with a
+// budget checkpoint and is charged its rank passes; a duplicate charges
+// nothing.
 func scheduleSingleBlockLoopOpts(g *graph.Graph, m *machine.Machine, o Opts) (*Steady, error) {
 	tr := o.Tracer
 	if g.Len() == 0 {
@@ -310,14 +257,8 @@ func scheduleSingleBlockLoopOpts(g *graph.Graph, m *machine.Machine, o Opts) (*S
 		tr.Emit(obs.Event{Kind: obs.KindPassStart, Pass: obs.PassLoop,
 			Block: -1, Node: graph.None, N: g.Len()})
 	}
-	type candidate struct {
-		kind string
-		node graph.NodeID
-		st   *Steady
-	}
 	// One loop-independent subgraph serves the candidate enumeration, the
-	// base candidate and every steady-state evaluation; it is only read
-	// after this point, so the worker goroutines can share it.
+	// base candidate and every steady-state evaluation.
 	li := g.LoopIndependent()
 	sources, sinks := candidatesLI(g, li)
 	candidates := make([]candidate, 0, 1+len(sources)+len(sinks))
@@ -329,11 +270,18 @@ func scheduleSingleBlockLoopOpts(g *graph.Graph, m *machine.Machine, o Opts) (*S
 		candidates = append(candidates, candidate{kind: "sink", node: y})
 	}
 
-	errs := runCandidates(len(candidates), func(i int) error {
-		if err := o.Budget.Check(); err != nil {
-			return err
-		}
+	for i := range candidates {
 		c := &candidates[i]
+		if j := sameTransform(g, candidates[:i], c); j >= 0 {
+			c.st = candidates[j].st
+			if duplicateHook != nil {
+				duplicateHook()
+			}
+			continue
+		}
+		if err := o.Budget.Check(); err != nil {
+			return nil, err
+		}
 		var order []graph.NodeID
 		var err error
 		switch c.kind {
@@ -345,13 +293,9 @@ func scheduleSingleBlockLoopOpts(g *graph.Graph, m *machine.Machine, o Opts) (*S
 			order, err = singleSinkOrderB(g, m, c.node, o.Budget)
 		}
 		if err != nil {
-			return err
+			return nil, err
 		}
-		c.st, err = evaluateLI(g, li, m, order)
-		return err
-	})
-	for _, err := range errs {
-		if err != nil {
+		if c.st, err = evaluateLI(g, li, m, order); err != nil {
 			return nil, err
 		}
 	}
@@ -378,3 +322,36 @@ func scheduleSingleBlockLoopOpts(g *graph.Graph, m *machine.Machine, o Opts) (*S
 	}
 	return best, nil
 }
+
+// candidate is one §5.2.3 candidate: its kind ("base", "source" or "sink"),
+// its instruction y (graph.None for the base) and, once evaluated, its
+// steady state.
+type candidate struct {
+	kind string
+	node graph.NodeID
+	st   *Steady
+}
+
+// sameTransform returns the index of the first candidate in prev whose
+// transformed graph equals c's, or -1: the same kind and a y with the same
+// exec, class and block, which are all of y the dummy z copies.
+func sameTransform(g *graph.Graph, prev []candidate, c *candidate) int {
+	if c.node == graph.None {
+		return -1
+	}
+	y := g.Node(c.node)
+	for j, p := range prev {
+		if p.kind != c.kind {
+			continue
+		}
+		if x := g.Node(p.node); x.Exec == y.Exec && x.Class == y.Class && x.Block == y.Block {
+			return j
+		}
+	}
+	return -1
+}
+
+// duplicateHook, when non-nil, is called for every candidate that reuses an
+// earlier candidate's steady state. Tests set it through export_test.go to
+// show the dedupe firing; production code never does.
+var duplicateHook func()

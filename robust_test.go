@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"aisched/internal/faultinject"
+	"aisched/internal/loops"
 	"aisched/internal/obs"
 	"aisched/internal/sched"
 	"aisched/internal/workload"
@@ -414,6 +415,51 @@ func TestWorkerPanicRecovered(t *testing.T) {
 	}
 	if results[1].Err != nil {
 		t.Fatalf("rank-pass panic leaked into item 1: %v", results[1].Err)
+	}
+}
+
+// TestLoopCandidatePanicRecovered: a panic inside a §5.2.3 candidate
+// evaluation (an injected rank-pass fault) reaches the memo layer, through
+// Scheduler.ScheduleLoop and through a BatchLoop item of ScheduleBatch,
+// and becomes an error; nothing is cached, and the next call computes the
+// uncached result.
+func TestLoopCandidatePanicRecovered(t *testing.T) {
+	defer faultinject.Reset()
+	m := SingleUnit(4)
+	g, err := workload.Loop(rand.New(rand.NewSource(29)), workload.DefaultLoop())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := loops.ScheduleLoop(g, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, via := range []string{"ScheduleLoop", "ScheduleBatch"} {
+		sc := NewScheduler(SchedulerOptions{Workers: 1})
+		run := func() (*LoopSteady, error) {
+			if via == "ScheduleLoop" {
+				return sc.ScheduleLoop(g, m)
+			}
+			r := sc.ScheduleBatch([]BatchItem{{G: g, M: m, Kind: BatchLoop}})[0]
+			return r.Loop, r.Err
+		}
+		faultinject.RankPass = faultinject.After(2, func() { panic("injected rank fault") })
+		_, err := run()
+		faultinject.Reset()
+		if err == nil || !strings.Contains(err.Error(), "panicked") {
+			t.Fatalf("%s: err = %v, want the panic as an error", via, err)
+		}
+		if c := sc.CacheCounters(); c.Bytes != 0 || c.Hits != 0 {
+			t.Fatalf("%s: panicked result cached: %+v", via, c)
+		}
+		got, err := run()
+		if err != nil {
+			t.Fatalf("%s after the panic: %v", via, err)
+		}
+		sameSteady(t, via+" after the panic", got, want)
+		if c := sc.CacheCounters(); c.Hits != 0 || c.Misses != 2 {
+			t.Fatalf("%s: counters %+v, want two misses and no hit", via, c)
+		}
 	}
 }
 

@@ -100,6 +100,6 @@ echo "== speculative, step-cache and stream results must be deterministic across
 # regardless of GOMAXPROCS or repetition. Every driver runs on a pooled or
 # long-lived walk, so state leaking between calls would surface here.
 go test -run 'Speculative|ParallelTrace|StepCache|Stream' -count=2 -cpu=1,4 ./...
-echo "== benchsnap -compare BENCH_PR27.json"
-go run ./cmd/benchsnap -compare BENCH_PR27.json
+echo "== benchsnap -compare BENCH_PR29.json"
+go run ./cmd/benchsnap -compare BENCH_PR29.json
 echo "check: OK"
